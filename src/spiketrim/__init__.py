@@ -9,17 +9,14 @@ from .efficiency import (EnergyModel, SopLedger, count_attention, count_linear,
                          energy_mj, reduction_percent)
 from .engine import ForwardResult, ReductionPlan, forward_full, pool_tokens
 from .errors import ConfigError, ContractError, CountOverflowError, ShapeError
-from .head import (RidgeConfig, eval_accuracy, eval_metrics, fit_ridge,
-                   pool_features, ridge_solve, train_head)
+from .head import RidgeConfig, eval_metrics, fit_ridge, ridge_solve, train_head
 from .neuron import LifParams, LifState, lif_sequence, lif_step
-from .selection import (KeepMask, MergeAssignment, Strategy, apply_merge,
-                        build_keep_mask, build_merge_assignment, merged_ssa,
-                        pruned_ssa, pruned_ssa_batched)
+from .selection import (Strategy, apply_merge, build_keep_mask,
+                        build_merge_assignment, merged_ssa, pruned_ssa_batched)
 from .sweep import ResultRow, SweepConfig, run_sweep, rows_csv
 from .svg import emit_svg_lines
-from .tensors import (DenseTensor, SpikeTensor, flatten_spatial, gather_tokens,
-                      reduce_mean_std, scatter_tokens, spike_dense_matmul,
-                      topk_indices)
+from .tensors import (DenseTensor, SpikeTensor, flatten_spatial, reduce_mean_std,
+                      spike_dense_matmul, topk_indices)
 from .uncertainty import (evidence_from_logits, importance_score, score_tokens,
                           trajectory_stats, uncertainty_from_evidence)
 

@@ -26,7 +26,8 @@ from .efficiency import SopLedger, count_attention, count_linear
 from .errors import ConfigError, ShapeError
 from .neuron import LifParams, LifState, lif_sequence
 from .rng import stream
-from .tensorfile import read_manifest, read_tensor, write_manifest, write_tensor
+from .tensorfile import (manifest_fields, read_manifest, read_tensor,
+                         write_manifest, write_tensor)
 from .tensors import DenseTensor, SpikeTensor, as_array
 
 
@@ -414,32 +415,34 @@ def save_model(model: Model, directory: Union[str, Path]) -> None:
 
 def load_model(directory: Union[str, Path]) -> Model:
     directory = Path(directory)
-    m = read_manifest(directory / "manifest.txt")
+    path = directory / "manifest.txt"
+    m = read_manifest(path)
     if m.get("format") != _FORMAT:
         raise ConfigError(f"unsupported model format {m.get('format')!r}")
-    stages = []
-    for i in range(int(m["n_stages"])):
-        stages.append(StageConfig(
-            channels=int(m[f"stage{i + 1}.channels"]),
-            blocks=int(m[f"stage{i + 1}.blocks"]),
-            downsample=int(m[f"stage{i + 1}.downsample"]),
-            w_scales=tuple(float(s) for s in m[f"stage{i + 1}.w_scales"].split(",")),
-        ))
-    cfg = ModelConfig(
-        steps=int(m["steps"]),
-        in_channels=int(m["in_channels"]),
-        height=int(m["height"]),
-        width=int(m["width"]),
-        patch=int(m["patch"]),
-        num_classes=int(m["classes"]),
-        stages=tuple(stages),
-        lif=LifParams(tau=float(m["tau"]), v_th=float(m["vth"])),
-        seed=int(m["seed"]),
-        embed_scale=float(m["embed_scale"]),
-        embed_init=m["embed_init"],
-        attn_shift=int(m["attn_shift"]),
-        insert_block=m["insert_block"],
-    )
+    with manifest_fields(path):
+        stages = []
+        for i in range(int(m["n_stages"])):
+            stages.append(StageConfig(
+                channels=int(m[f"stage{i + 1}.channels"]),
+                blocks=int(m[f"stage{i + 1}.blocks"]),
+                downsample=int(m[f"stage{i + 1}.downsample"]),
+                w_scales=tuple(float(s) for s in m[f"stage{i + 1}.w_scales"].split(",")),
+            ))
+        cfg = ModelConfig(
+            steps=int(m["steps"]),
+            in_channels=int(m["in_channels"]),
+            height=int(m["height"]),
+            width=int(m["width"]),
+            patch=int(m["patch"]),
+            num_classes=int(m["classes"]),
+            stages=tuple(stages),
+            lif=LifParams(tau=float(m["tau"]), v_th=float(m["vth"])),
+            seed=int(m["seed"]),
+            embed_scale=float(m["embed_scale"]),
+            embed_init=m["embed_init"],
+            attn_shift=int(m["attn_shift"]),
+            insert_block=m["insert_block"],
+        )
     model = init_model(cfg)
     model.embed_w = read_tensor(directory / "embed.spkt")
     for s in range(len(cfg.stages)):

@@ -22,15 +22,15 @@ import numpy as np
 from .backbone import ModelConfig, init_model, load_model, save_model
 from .data import (SyntheticSpec, bayes_accuracy, load_dataset, save_dataset,
                    synth_dataset)
-from .errors import ConfigError
 from .head import RidgeConfig, eval_metrics, train_head
 from .neuron import LifParams
 from .selection import mask_csv
 from .sweep import (STRATEGY_KINDS_BY_NAME, SweepConfig, build_plan,
                     parse_config_text, prepared_model, rows_csv, run_sweep,
                     sop_rows, sweep_config_from_entries)
-from .efficiency import sop_report_csv
+from .efficiency import energy_mj, sop_report_csv
 from .engine import forward_full
+from .selftest import run_selftest
 from .svg import emit_svg_lines
 from .uncertainty import SCORE_MODES, trajectory_csv
 
@@ -192,26 +192,19 @@ def _cmd_run(args) -> int:
     s, b = model.config.parse_insert(args.insert_block)
     prefix = f"stage{s + 1}.block{b}"
     sa, mac = result.ledger.totals(prefix=prefix)
-    from .efficiency import energy_mj
     print(f"strategy={args.strategy} keep_ratio={args.keep_ratio:.6f} seed={args.seed}")
     print(f"acc1={acc1:.6f}")
     print(f"block_sops={sa}")
     print(f"block_macs={mac}")
     print(f"energy_mj={energy_mj(result.ledger):.6f}")
     print(f"logits_sha256={hashlib.sha256(result.logits.data.tobytes()).hexdigest()}")
+    # with capture, the record always holds trajectories and an anchor array
     if args.dump_uncertainty:
-        if result.selection is None or result.selection.trajectories is None:
-            raise ConfigError("no uncertainty trajectories captured for this strategy")
         Path(args.dump_uncertainty).write_bytes(
             trajectory_csv(result.selection.trajectories).encode())
         print(f"wrote {args.dump_uncertainty}")
     if args.dump_mask:
-        sel = result.selection
-        if sel is None or (sel.masks is None and sel.assignments is None):
-            raise ConfigError("no selection mask captured for this strategy")
-        n = test.spec.n_tokens
-        Path(args.dump_mask).write_bytes(
-            mask_csv(sel.masks, sel.assignments, n).encode())
+        Path(args.dump_mask).write_bytes(mask_csv(result.selection.anchor).encode())
         print(f"wrote {args.dump_mask}")
     return 0
 
@@ -263,7 +256,6 @@ def _cmd_sop(args) -> int:
 
 
 def _cmd_selftest(_args) -> int:
-    from .selftest import run_selftest
     failures = run_selftest()
     return 0 if failures == 0 else 2
 

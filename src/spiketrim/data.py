@@ -20,7 +20,8 @@ import numpy as np
 
 from .errors import ConfigError
 from .rng import stream
-from .tensorfile import read_manifest, read_tensor, write_manifest, write_tensor
+from .tensorfile import (manifest_fields, read_manifest, read_tensor,
+                         write_manifest, write_tensor)
 from .tensors import DenseTensor, SpikeTensor
 
 
@@ -148,19 +149,21 @@ def save_dataset(ds: Dataset, directory: Union[str, Path]) -> None:
 
 def load_dataset(directory: Union[str, Path]) -> Dataset:
     directory = Path(directory)
-    m = read_manifest(directory / "dataset.txt")
-    spec = SyntheticSpec(
-        grid=int(m["grid"]),
-        classes=int(m["classes"]),
-        signature_tokens=int(m["signature_tokens"]),
-        p_signal=float(m["p_signal"]),
-        p_background=float(m["p_background"]),
-        channels=int(m["channels"]),
-        steps=int(m["steps"]),
-        train_samples=int(m["train_samples"]),
-        test_samples=int(m["test_samples"]),
-    )
-    seed = int(m["seed"])
+    path = directory / "dataset.txt"
+    m = read_manifest(path)
+    with manifest_fields(path):
+        spec = SyntheticSpec(
+            grid=int(m["grid"]),
+            classes=int(m["classes"]),
+            signature_tokens=int(m["signature_tokens"]),
+            p_signal=float(m["p_signal"]),
+            p_background=float(m["p_background"]),
+            channels=int(m["channels"]),
+            steps=int(m["steps"]),
+            train_samples=int(m["train_samples"]),
+            test_samples=int(m["test_samples"]),
+        )
+        seed = int(m["seed"])
     frames = read_tensor(directory / "frames.spkt")
     labels = read_tensor(directory / "labels.spkt").data.astype(np.int64)
     return Dataset(frames=frames, labels=labels, spec=spec, seed=seed,

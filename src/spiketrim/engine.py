@@ -3,8 +3,14 @@
 forward_full runs patch embedding, every stage's entry transform and
 attention blocks, applies the configured reduction at the insertion block,
 mean-pools the final tokens over time and space, and maps the pooled feature
-through the classifier head. Reduction details (scores, trajectories, masks
-or merge assignments) can be captured for dumps and analysis.
+through the classifier head.
+
+The insertion block follows one rule. Strategy kind `none`, or keep ratio
+1.0 with any strategy, runs the block unreduced and records every token as
+kept. Any other plan scores the tokens (random_prune needs no scores),
+selects, and runs the prune or merge kernel. The selection record (anchor
+array, merge weights, scores, and with capture the uncertainty trajectories)
+is returned when capture is set or the plan's strategy is not `none`.
 """
 from __future__ import annotations
 
@@ -17,8 +23,8 @@ from .backbone import (Model, downsample_tokens, patch_embed, ssa_forward,
                        token_logits)
 from .efficiency import SopLedger
 from .errors import ConfigError, ShapeError
-from .selection import (KeepMask, MergeAssignment, Strategy, build_keep_mask,
-                        build_merge_assignment, merged_ssa, pruned_ssa_batched)
+from .selection import (Strategy, build_keep_mask, build_merge_assignment,
+                        merged_ssa, pruned_ssa_batched)
 from .tensors import DenseTensor, SpikeTensor, as_array
 from .uncertainty import score_tokens, uncertainty_trajectories
 
@@ -36,10 +42,14 @@ class ReductionPlan:
 
 @dataclass
 class SelectionDetail:
+    """What happened at the insertion block. anchor is [B, N] int64: -1 for a
+    pruned token, the token's own index when kept or an anchor, otherwise the
+    anchor it was merged into; weights [B, N] float64 is set by merging only."""
+
+    anchor: Optional[np.ndarray] = None
+    weights: Optional[np.ndarray] = None
     scores: Optional[DenseTensor] = None
     trajectories: Optional[np.ndarray] = None  # [T,B,N] float64
-    masks: Optional[list[KeepMask]] = None
-    assignments: Optional[list[MergeAssignment]] = None
 
 
 @dataclass
@@ -84,34 +94,33 @@ def forward_full(model: Model, frames, reduction: Optional[ReductionPlan] = None
     if ledger is None:
         ledger = SopLedger()
     plan = reduction
-    active = plan is not None and plan.strategy.kind != "none" and plan.keep_ratio < 1.0
-    prune_identity = (plan is not None and plan.strategy.kind != "none"
-                      and plan.keep_ratio == 1.0
-                      and plan.strategy.kind != "uncert_merge")
-    ins_stage = ins_block = -1
+    reduce = plan is not None and plan.strategy.kind != "none" and plan.keep_ratio < 1.0
+    insert, detail = None, None
     if capture or (plan is not None and plan.strategy.kind != "none"):
-        spec_text = plan.insert_block if plan is not None else None
-        ins_stage, ins_block = cfg.parse_insert(spec_text)
+        insert = cfg.parse_insert(plan.insert_block if plan is not None else None)
+        detail = SelectionDetail()
 
     x = patch_embed(frames, cfg.patch, model.embed_w, cfg.lif, ledger)
-    detail = SelectionDetail() if (capture or active or prune_identity) else None
     stage_tokens: list[SpikeTensor] = []
-    merged = False
     for s, st in enumerate(cfg.stages):
         if model.entries[s] is not None:
-            if merged:
-                raise ConfigError("downsampling after token merge is unsupported")
             grid = cfg.grid_at(s - 1)
+            if x.shape[2] != grid[0] * grid[1]:
+                raise ConfigError("downsampling after token merge is unsupported")
             x = downsample_tokens(x, grid, st.downsample, model.entries[s],
                                   cfg.lif, ledger)
         for b_i, block in enumerate(model.blocks[s]):
-            if (s, b_i) == (ins_stage, ins_block) and capture and detail is not None:
+            if (s, b_i) != insert:
+                x = ssa_forward(x, block, ledger)
+                continue
+            if capture:
                 # dumps always measure at the insertion block's input tokens
                 detail.trajectories = uncertainty_trajectories(x, model.head)
-            if (s, b_i) == (ins_stage, ins_block) and (active or prune_identity):
+            if reduce:
                 x = _reduced_block(model, x, block, plan, ledger, detail)
-                merged = plan.strategy.kind == "uncert_merge" and plan.keep_ratio < 1.0
             else:
+                b, n = x.shape[1], x.shape[2]
+                detail.anchor = np.tile(np.arange(n, dtype=np.int64), (b, 1))
                 x = ssa_forward(x, block, ledger)
         stage_tokens.append(x)
     pooled = pool_tokens(x)
@@ -121,27 +130,17 @@ def forward_full(model: Model, frames, reduction: Optional[ReductionPlan] = None
 
 
 def _reduced_block(model: Model, x: SpikeTensor, block, plan: ReductionPlan,
-                   ledger: SopLedger, detail: Optional[SelectionDetail]) -> SpikeTensor:
+                   ledger: SopLedger, detail: SelectionDetail) -> SpikeTensor:
     strat = plan.strategy
-    needs_scores = strat.kind in ("uncert_prune", "uncert_merge", "low_uncert_prune")
-    scores = None
-    if needs_scores:
+    if strat.kind == "random_prune":
+        # the seeded draw needs only the [B, N] shape
+        scores = DenseTensor(np.zeros(x.shape[1:3], dtype=np.float32))
+    else:
         scores = score_tokens(x, model.head, lam=strat.lam, mode=strat.score_mode)
-    if detail is not None:
         detail.scores = scores
     if strat.kind == "uncert_merge":
-        if plan.keep_ratio == 1.0:  # degenerate merge: keep every token as-is
-            return ssa_forward(x, block, ledger)
-        assignments = build_merge_assignment(scores, x, plan.keep_ratio)
-        if detail is not None:
-            detail.assignments = assignments
-        return merged_ssa(x, assignments, block, model.config.lif, ledger)
-    if strat.kind == "random_prune":
-        b, n = x.shape[1], x.shape[2]
-        dummy = DenseTensor(np.zeros((b, n), dtype=np.float32))
-        masks = build_keep_mask(dummy, plan.keep_ratio, strat)
-    else:
-        masks = build_keep_mask(scores, plan.keep_ratio, strat)
-    if detail is not None:
-        detail.masks = masks
-    return pruned_ssa_batched(x, masks, block, ledger)
+        detail.anchor, detail.weights = build_merge_assignment(scores, x, plan.keep_ratio)
+        return merged_ssa(x, detail.anchor, detail.weights, block, model.config.lif,
+                          ledger)
+    detail.anchor = build_keep_mask(scores, plan.keep_ratio, strat)
+    return pruned_ssa_batched(x, detail.anchor, block, ledger)

@@ -14,7 +14,7 @@ import numpy as np
 
 from .backbone import HeadWeights, Model
 from .engine import ForwardResult, ReductionPlan, forward_full, pool_tokens
-from .tensors import DenseTensor, SpikeTensor
+from .tensors import DenseTensor
 
 
 @dataclass(frozen=True)
@@ -24,11 +24,6 @@ class RidgeConfig:
     def __post_init__(self):
         if self.l2 < 0:
             raise ValueError("l2 must be non-negative")
-
-
-def pool_features(stage_tokens: SpikeTensor) -> DenseTensor:
-    """Mean over time and tokens: [T,B,N,D] -> [B,D]."""
-    return pool_tokens(stage_tokens)
 
 
 def _cholesky_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -94,7 +89,7 @@ def train_head(model: Model, frames, labels: Sequence[int],
                cfg: RidgeConfig = RidgeConfig()) -> HeadWeights:
     """Run the unreduced forward pass, pool, and fit the ridge head."""
     result = forward_full(model, frames)
-    feats = pool_features(result.stage_tokens[-1])
+    feats = pool_tokens(result.stage_tokens[-1])
     head = fit_ridge(feats, labels, cfg)
     model.head = head
     return head
@@ -131,9 +126,3 @@ def eval_metrics(model: Model, frames, labels: Sequence[int],
     acc5 = float((topk == y[:, None]).any(axis=1).mean())
     return acc1, acc5, result
 
-
-def eval_accuracy(model: Model, frames, labels: Sequence[int],
-                  reduction: ReductionPlan | None = None) -> float:
-    """Fraction of samples whose argmax logit matches the label."""
-    acc1, _, _ = eval_metrics(model, frames, labels, reduction)
-    return acc1

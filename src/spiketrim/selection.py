@@ -1,7 +1,12 @@
 """Token selection: uncertainty-guided pruning and merging plus the random
 and low-uncertainty baselines.
 
-A keep mask is derived once per sample from temporally aggregated scores and
+Every reduction is recorded as one [B, N] int64 anchor array: -1 marks a
+pruned token, a token's own index marks a kept token or merge anchor, and any
+other index names the anchor the token was merged into. Merging adds a
+[B, N] float64 array with each token's weight inside its anchor's group.
+
+The keep set is derived once per sample from temporally aggregated scores and
 shared across all timesteps. Pruned positions are frozen (identity
 pass-through): they receive no attention update and no residual
 recomputation, which makes keep-everything selection exactly the unreduced
@@ -17,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -26,7 +31,7 @@ from .efficiency import SopLedger
 from .errors import ShapeError
 from .neuron import LifParams, lif_sequence
 from .rng import stream
-from .tensors import DenseTensor, SpikeTensor, gather_tokens, scatter_tokens, topk_indices
+from .tensors import DenseTensor, SpikeTensor, topk_indices
 
 STRATEGY_KINDS = ("uncert_prune", "uncert_merge", "random_prune",
                   "low_uncert_prune", "none")
@@ -48,34 +53,6 @@ class Strategy:
             raise ValueError("lambda must be non-negative")
 
 
-@dataclass(frozen=True)
-class KeepMask:
-    keep_indices: tuple[int, ...]
-    n_total: int
-    ratio: float
-
-    def __post_init__(self):
-        expected = math.floor(self.ratio * self.n_total)
-        if len(self.keep_indices) != expected:
-            raise ValueError(f"mask keeps {len(self.keep_indices)}, expected {expected}")
-        if list(self.keep_indices) != sorted(set(self.keep_indices)):
-            raise ValueError("keep indices must be strictly increasing")
-
-
-@dataclass(frozen=True)
-class MergeAssignment:
-    """anchors ascending; assign maps each non-anchor to its anchor; weights
-    maps each anchor to the normalized weights over [anchor] + its members
-    (member order: anchor first, then assigned tokens ascending)."""
-
-    anchors: tuple[int, ...]
-    assign: dict[int, int]
-    weights: dict[int, tuple[float, ...]]
-
-    def members(self, anchor: int) -> list[int]:
-        return [anchor] + sorted(j for j, a in self.assign.items() if a == anchor)
-
-
 def n_keep(ratio: float, n_total: int) -> int:
     if not 0.0 < ratio <= 1.0:
         raise ValueError(f"keep ratio {ratio} outside (0, 1]")
@@ -85,19 +62,20 @@ def n_keep(ratio: float, n_total: int) -> int:
     return k
 
 
-def build_keep_mask(scores: DenseTensor, ratio: float, strategy: Strategy) -> list[KeepMask]:
-    """Per-sample keep masks from [B, N] scores.
+def build_keep_mask(scores: DenseTensor, ratio: float, strategy: Strategy) -> np.ndarray:
+    """[B, N] anchor array of per-sample keep sets from [B, N] scores: kept
+    tokens hold their own index, pruned tokens -1.
 
     uncert_prune keeps top scores, low_uncert_prune keeps top negated scores,
     random_prune draws a seeded sample without replacement (stream keyed by
-    (strategy.seed, sample position), so masks are per-sample independent and
-    reproducible).
+    (strategy.seed, sample position), so keep sets are per-sample independent
+    and reproducible).
     """
     if len(scores.shape) != 2:
         raise ShapeError(f"scores must be [B, N], got {scores.shape}")
     b, n = scores.shape
     k = n_keep(ratio, n)
-    masks = []
+    anchor = np.full((b, n), -1, dtype=np.int64)
     for m in range(b):
         if strategy.kind in ("uncert_prune", "uncert_merge"):
             idx = topk_indices(scores.data[m], k)
@@ -105,39 +83,39 @@ def build_keep_mask(scores: DenseTensor, ratio: float, strategy: Strategy) -> li
             idx = topk_indices(-scores.data[m].astype(np.float64), k)
         elif strategy.kind == "random_prune":
             idx = stream(strategy.seed, f"random_prune/{m}").sample_without_replacement(n, k)
-            idx = [int(i) for i in idx]
         else:
             raise ValueError(f"strategy {strategy.kind!r} builds no keep mask")
-        masks.append(KeepMask(tuple(idx), n_total=n, ratio=ratio))
-    return masks
+        anchor[m, idx] = idx
+    return anchor
 
 
-def pruned_ssa(x: SpikeTensor, mask: KeepMask, w: SsaBlockWeights,
-               ledger: Optional[SopLedger] = None) -> SpikeTensor:
-    """Attention restricted to kept tokens; pruned rows pass through unchanged."""
-    if mask.n_total != x.shape[2]:
-        raise ShapeError(f"mask for N={mask.n_total} applied to N={x.shape[2]}")
-    gathered = gather_tokens(x, mask.keep_indices)
-    updated = ssa_forward(gathered, w, ledger)
-    return scatter_tokens(updated, mask.keep_indices, x)
+def _kept(anchor: np.ndarray) -> np.ndarray:
+    """[B, N] bool of tokens that stay in place (anchor == own index); every
+    sample must keep the same number."""
+    kept = anchor == np.arange(anchor.shape[1])
+    counts = kept.sum(axis=1)
+    if (counts != counts[0]).any():
+        raise ShapeError("every sample must keep the same number of tokens")
+    return kept
 
 
-def pruned_ssa_batched(x: SpikeTensor, masks: Sequence[KeepMask], w: SsaBlockWeights,
+def pruned_ssa_batched(x: SpikeTensor, anchor: np.ndarray, w: SsaBlockWeights,
                        ledger: Optional[SopLedger] = None) -> SpikeTensor:
-    """Per-sample masks in one vectorized pass.
+    """Attention restricted to each sample's kept tokens; pruned rows pass
+    through unchanged.
 
-    Bitwise-identical to looping pruned_ssa over single-sample slices: the
-    gathered tensor is processed elementwise per batch entry, and all matmul
-    operands are exact, so batching cannot change any value.
+    One vectorized pass over the batch: the gathered tensor is processed
+    elementwise per batch entry, and all matmul operands are exact, so
+    batching cannot change any value.
     """
     t, b, n, d = x.shape
-    if len(masks) != b:
-        raise ShapeError(f"{len(masks)} masks for batch {b}")
-    k = len(masks[0].keep_indices)
-    if any(len(m.keep_indices) != k for m in masks):
-        raise ShapeError("masks must keep equal counts")
-    idx = np.array([m.keep_indices for m in masks], dtype=np.int64)  # [B, k]
-    expand = np.broadcast_to(idx[None, :, :, None], (t, b, k, d))
+    if anchor.shape != (b, n):
+        raise ShapeError(f"anchor {anchor.shape} for tokens {x.shape}")
+    kept = _kept(anchor)
+    if (anchor[~kept] != -1).any():
+        raise ShapeError("a prune record holds only -1 or the token's own index")
+    idx = np.nonzero(kept)[1].reshape(b, -1)  # [B, k], ascending per sample
+    expand = np.broadcast_to(idx[None, :, :, None], (t, b, idx.shape[1], d))
     gathered = SpikeTensor(np.take_along_axis(x.data, expand, axis=2))
     updated = ssa_forward(gathered, w, ledger)
     out = np.array(x.data)
@@ -145,113 +123,95 @@ def pruned_ssa_batched(x: SpikeTensor, masks: Sequence[KeepMask], w: SsaBlockWei
     return SpikeTensor(out)
 
 
-def _time_averaged(features_sample: np.ndarray) -> np.ndarray:
-    return features_sample.astype(np.float64).mean(axis=0)  # [N, D]
+def _groups(anchor_row: np.ndarray) -> list[np.ndarray]:
+    """Token indices of each merge group that has members: the anchor first,
+    then its members ascending."""
+    idx = np.arange(anchor_row.size)
+    order = np.lexsort((idx, idx != anchor_row, anchor_row))
+    sizes = np.bincount(anchor_row, minlength=anchor_row.size)
+    ends = np.cumsum(sizes)
+    return [order[e - s : e] for s, e in zip(sizes.tolist(), ends.tolist()) if s > 1]
 
 
 def build_merge_assignment(scores: DenseTensor, features: SpikeTensor,
-                           ratio: float, lam_unused: float = 0.9) -> list[MergeAssignment]:
-    """Anchors = top-score tokens; each non-anchor joins its most similar
-    anchor by cosine of time-averaged features (ties to the smaller anchor
-    index, all-zero features have cosine 0); per-anchor weights are normalized
-    exponentials of similarity with anchor self-similarity 1."""
+                           ratio: float) -> tuple[np.ndarray, np.ndarray]:
+    """(anchor, weights), both [B, N]. Anchors = top-score tokens; each
+    non-anchor joins its most similar anchor by cosine of time-averaged
+    features (ties to the smaller anchor index, all-zero features have cosine
+    0). A group's weights are normalized exponentials of similarity over
+    [anchor] + members ascending, with anchor self-similarity 1; a token alone
+    in its group has weight 1."""
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"merge ratio {ratio} must lie in (0, 1)")
     b, n = scores.shape
     if features.shape[1] != b or features.shape[2] != n:
         raise ShapeError(f"features {features.shape} vs scores {scores.shape}")
     k = n_keep(ratio, n)
-    out = []
+    anchor = np.empty((b, n), dtype=np.int64)
+    weights = np.ones((b, n), dtype=np.float64)
+    rows = np.arange(n)
     for m in range(b):
-        anchors = topk_indices(scores.data[m], k)
-        zbar = _time_averaged(features.data[:, m])  # [N, D]
+        anchors = np.array(topk_indices(scores.data[m], k), dtype=np.int64)
+        zbar = features.data[:, m].astype(np.float64).mean(axis=0)  # [N, D]
         norms = np.sqrt((zbar**2).sum(axis=-1))
-        anchor_arr = np.array(anchors, dtype=np.int64)
-        assign: dict[int, int] = {}
-        anchor_set = set(anchors)
-        for j in range(n):
-            if j in anchor_set:
-                continue
-            if norms[j] == 0.0:
-                sims = np.zeros(len(anchors))
-            else:
-                dots = zbar[anchor_arr] @ zbar[j]
-                dens = norms[anchor_arr] * norms[j]
-                sims = np.where(dens > 0.0, dots / np.where(dens > 0.0, dens, 1.0), 0.0)
-            assign[j] = int(anchor_arr[int(np.argmax(sims))])  # argmax tie -> smaller anchor
-        weights: dict[int, tuple[float, ...]] = {}
-        for a in anchors:
-            group = [a] + sorted(j for j, t in assign.items() if t == a)
-            sims = []
-            for j in group:
-                if j == a:
-                    sims.append(1.0)
-                elif norms[j] == 0.0 or norms[a] == 0.0:
-                    sims.append(0.0)
-                else:
-                    sims.append(float(zbar[a] @ zbar[j] / (norms[a] * norms[j])))
-            expw = np.exp(np.asarray(sims, dtype=np.float64))
+        dots = zbar @ zbar[anchors].T  # [N, K]
+        dens = norms[:, None] * norms[anchors]
+        sims = np.where(dens > 0.0, dots / np.where(dens > 0.0, dens, 1.0), 0.0)
+        col = np.argmax(sims, axis=1)  # argmax tie -> smaller anchor
+        anchor[m] = anchors[col]
+        anchor[m, anchors] = anchors
+        sim_to_anchor = sims[rows, col]
+        for group in _groups(anchor[m]):
+            expw = np.exp(np.concatenate(([1.0], sim_to_anchor[group[1:]])))
             expw /= expw.sum()
-            weights[a] = tuple(float(v) for v in expw)
-        out.append(MergeAssignment(anchors=tuple(anchors), assign=assign, weights=weights))
-    return out
+            weights[m, group] = expw
+    return anchor, weights
 
 
-def apply_merge(x: SpikeTensor, assignments: Sequence[MergeAssignment],
+def apply_merge(x: SpikeTensor, anchor: np.ndarray, weights: np.ndarray,
                 ledger: Optional[SopLedger] = None,
                 label: str = "merge") -> DenseTensor:
-    """Weighted token combination: [T,B,N,D] -> real [T,B,K,D].
+    """Weighted token combination: [T,B,N,D] -> real [T,B,K,D], one output row
+    per anchor in ascending token order.
 
     Weights are time-independent; merged token i at time t is the convex
     combination of its members' spikes at t. Each weighted add is charged as
-    a dense MAC.
+    a dense MAC, and every token belongs to exactly one group.
     """
     t, b, n, d = x.shape
-    if len(assignments) != b:
-        raise ShapeError(f"{len(assignments)} assignments for batch {b}")
-    k = len(assignments[0].anchors)
-    out = np.zeros((t, b, k, d), dtype=np.float64)
-    macs = 0
-    for m, a in enumerate(assignments):
-        if len(a.anchors) != k:
-            raise ShapeError("assignments must keep equal anchor counts")
+    if anchor.shape != (b, n) or weights.shape != (b, n):
+        raise ShapeError(f"anchor {anchor.shape} / weights {weights.shape} "
+                         f"for tokens {x.shape}")
+    kept = _kept(anchor)
+    out = np.empty((t, b, int(kept[0].sum()), d), dtype=np.float64)
+    for m in range(b):
         xm = x.data[:, m].astype(np.float64)  # [T,N,D]
-        for ai, anchor in enumerate(a.anchors):
-            group = a.members(anchor)
-            w = np.asarray(a.weights[anchor], dtype=np.float64)
-            out[:, m, ai] = np.einsum("j,tjd->td", w, xm[:, group])
-            macs += t * len(group) * d
+        anchors = np.flatnonzero(kept[m])
+        out[:, m] = xm[:, anchors] * weights[m, anchors][:, None]
+        for group in _groups(anchor[m]):
+            out[:, m, np.searchsorted(anchors, group[0])] = np.einsum(
+                "j,tjd->td", weights[m, group], xm[:, group])
     if ledger is not None:
-        ledger.add(label, dense_macs=macs)
+        ledger.add(label, dense_macs=t * b * n * d)
     return DenseTensor(out.astype(np.float32))
 
 
-def merged_ssa(x: SpikeTensor, assignments: Sequence[MergeAssignment],
+def merged_ssa(x: SpikeTensor, anchor: np.ndarray, weights: np.ndarray,
                w: SsaBlockWeights, lif: LifParams,
                ledger: Optional[SopLedger] = None) -> SpikeTensor:
     """Merge, re-binarize through a LIF front end, then run the block on the
     reduced token set. Output has K tokens; downstream layers see fewer rows."""
-    merged = apply_merge(x, assignments, ledger, label=f"{w.label}.merge")
+    merged = apply_merge(x, anchor, weights, ledger, label=f"{w.label}.merge")
     binary = lif_sequence(lif, merged.data.astype(np.float64))
     return ssa_forward(binary, w, ledger)
 
 
-def mask_csv(masks: Sequence[KeepMask] | None,
-             assignments: Sequence[MergeAssignment] | None, n: int) -> str:
-    """CSV dump `sample,token,kept,anchor`; anchor is the merge target for
-    merged tokens, the token itself when kept, and -1 for pruned tokens."""
+def mask_csv(anchor: np.ndarray) -> str:
+    """CSV dump `sample,token,kept,anchor` of a [B, N] anchor array; anchor is
+    the merge target for merged tokens, the token itself when kept, and -1 for
+    pruned tokens."""
     lines = ["sample,token,kept,anchor"]
-    if masks is not None:
-        for m, mask in enumerate(masks):
-            kept = set(mask.keep_indices)
-            for i in range(n):
-                lines.append(f"{m},{i},{1 if i in kept else 0},{i if i in kept else -1}")
-    elif assignments is not None:
-        for m, a in enumerate(assignments):
-            anchor_set = set(a.anchors)
-            for i in range(n):
-                if i in anchor_set:
-                    lines.append(f"{m},{i},1,{i}")
-                else:
-                    lines.append(f"{m},{i},0,{a.assign[i]}")
+    for m, row in enumerate(anchor.tolist()):
+        for i, a in enumerate(row):
+            lines.append(f"{m},{i},{int(a == i)},{a}")
     return "\n".join(lines) + "\n"

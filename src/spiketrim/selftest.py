@@ -10,17 +10,18 @@ import math
 
 import numpy as np
 
-from .backbone import HeadWeights, ModelConfig, attention_core, init_model, token_logits
+from .backbone import (HeadWeights, ModelConfig, SsaBlockWeights, attention_core,
+                       init_model, token_logits)
 from .data import SyntheticSpec, synth_dataset
 from .efficiency import (EnergyModel, SopLedger, count_attention, count_linear,
                          energy_mj, reduction_percent)
-from .engine import forward_full
-from .head import pool_features, ridge_solve
+from .engine import forward_full, pool_tokens
+from .head import ridge_solve
 from .neuron import LifParams, LifState, lif_sequence, lif_step
-from .selection import Strategy, apply_merge, build_keep_mask, build_merge_assignment
-from .tensors import (DenseTensor, SpikeTensor, flatten_spatial, gather_tokens,
-                      reduce_mean_std, scatter_tokens, spike_dense_matmul,
-                      topk_indices)
+from .selection import (Strategy, apply_merge, build_keep_mask,
+                        build_merge_assignment, pruned_ssa_batched)
+from .tensors import (DenseTensor, SpikeTensor, flatten_spatial, reduce_mean_std,
+                      spike_dense_matmul, topk_indices)
 from .uncertainty import (evidence_from_logits, importance_score, score_tokens,
                           trajectory_stats, uncertainty_from_evidence)
 
@@ -107,14 +108,14 @@ def check_flatten_index():
 
 
 def check_gather_scatter_roundtrip():
+    # zero weights make the block the identity on spikes (input current 1
+    # reaches v_th exactly), so the prune kernel must return x unchanged
     rng = np.random.default_rng(7)
     x = SpikeTensor((rng.random((3, 2, 6, 4)) < 0.4).astype(np.uint8))
-    idx = [1, 3, 4]
-    assert (scatter_tokens(gather_tokens(x, idx), idx, x).data == x.data).all()
-    base = SpikeTensor(np.zeros((1, 1, 4, 2), dtype=np.uint8))
-    src = SpikeTensor(np.ones((1, 1, 2, 2), dtype=np.uint8))
-    out = scatter_tokens(src, [1, 3], base)
-    assert out.data[0, 0].tolist() == [[0, 0], [1, 1], [0, 0], [1, 1]]
+    zero = DenseTensor(np.zeros((4, 4), dtype=np.float32))
+    block = SsaBlockWeights(zero, zero, zero, zero, lif=LifParams(), shift=1)
+    anchor = np.array([[-1, 1, -1, 3, 4, -1], [0, -1, 2, -1, -1, 5]])
+    assert (pruned_ssa_batched(x, anchor, block).data == x.data).all()
 
 
 def check_spike_matmul_ops():
@@ -152,10 +153,10 @@ def check_token_logits_rows():
 
 def check_low_uncert_keep():
     scores = DenseTensor(np.array([[0.9, 0.1, 0.5, 0.5, 0.3]], dtype=np.float32))
-    masks = build_keep_mask(scores, 0.6, Strategy(kind="low_uncert_prune"))
-    assert list(masks[0].keep_indices) == [1, 2, 4]
-    masks_hi = build_keep_mask(scores, 0.6, Strategy(kind="uncert_prune"))
-    assert list(masks_hi[0].keep_indices) == [0, 2, 3]
+    lo = build_keep_mask(scores, 0.6, Strategy(kind="low_uncert_prune"))
+    assert lo[0].tolist() == [-1, 1, 2, -1, 4]
+    hi = build_keep_mask(scores, 0.6, Strategy(kind="uncert_prune"))
+    assert hi[0].tolist() == [0, -1, 2, 3, -1]
 
 
 def check_merge_weights():
@@ -164,12 +165,11 @@ def check_merge_weights():
     feats[0, 0, 0] = [1, 0]
     feats[0, 0, 1] = [0, 1]
     scores = DenseTensor(np.array([[1.0, 0.0]], dtype=np.float32))
-    assign = build_merge_assignment(scores, SpikeTensor(feats), 0.5)[0]
-    assert assign.anchors == (0,) and assign.assign == {1: 0}
-    w = assign.weights[0]
-    _close(w[0], 0.7310586)
-    _close(w[1], 0.2689414)
-    merged = apply_merge(SpikeTensor(feats), [assign])
+    anchor, weights = build_merge_assignment(scores, SpikeTensor(feats), 0.5)
+    assert anchor.tolist() == [[0, 0]]
+    _close(weights[0, 0], 0.7310586)
+    _close(weights[0, 1], 0.2689414)
+    merged = apply_merge(SpikeTensor(feats), anchor, weights)
     _close(float(merged.data[0, 0, 0, 0]), 0.7310586)
     _close(float(merged.data[0, 0, 0, 1]), 0.2689414)
 
@@ -199,7 +199,7 @@ def check_ridge_normal_equations():
 def check_pool_single_spike():
     x = np.zeros((2, 1, 3, 4), dtype=np.uint8)
     x[1, 0, 2, 1] = 1
-    pooled = pool_features(SpikeTensor(x))
+    pooled = pool_tokens(SpikeTensor(x))
     _close(float(pooled.data[0, 1]), 1.0 / 6.0)
     assert float(np.abs(pooled.data).sum()) - float(pooled.data[0, 1]) == 0.0
 
@@ -246,7 +246,7 @@ CHECKS = [
     ("lif threshold boundary", check_lif_boundary),
     ("topk tie-breaking", check_topk),
     ("flatten spatial index map", check_flatten_index),
-    ("gather/scatter round-trip", check_gather_scatter_roundtrip),
+    ("prune gather/scatter round-trip", check_gather_scatter_roundtrip),
     ("spike matmul ops and values", check_spike_matmul_ops),
     ("reduce mean/std", check_reduce_mean_std),
     ("attention core hand matmul", check_attention_core),

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from .backbone import Model, ModelConfig, init_model
 from .data import Dataset, SyntheticSpec, synth_dataset
-from .efficiency import EnergyModel, energy_mj
+from .efficiency import EnergyModel, energy_mj, reduction_percent
 from .engine import ReductionPlan
 from .errors import ConfigError
 from .head import RidgeConfig, eval_metrics, train_head
@@ -80,7 +80,15 @@ def parse_config_text(text: str) -> dict[str, str]:
     return out
 
 
+SWEEP_CONFIG_KEYS = ("strategies", "keep_ratios", "seeds", "lambda",
+                     "insert_block", "score_mode", "l2")
+
+
 def sweep_config_from_entries(entries: dict[str, str]) -> SweepConfig:
+    unknown = sorted(set(entries) - set(SWEEP_CONFIG_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown sweep config key(s) {', '.join(unknown)}; "
+                          f"expected {', '.join(SWEEP_CONFIG_KEYS)}")
     kwargs = {}
     if "strategies" in entries:
         kwargs["strategies"] = tuple(s.strip() for s in entries["strategies"].split(",") if s.strip())
@@ -174,7 +182,6 @@ def sop_rows(model: Model, test: Dataset, ratios: Sequence[float], seed: int,
         total = sa + mac
         if base_total is None:
             base_total = total
-        from .efficiency import reduction_percent
         rows.append({
             "keep_ratio": ratio,
             "block_sops": sa,

@@ -14,12 +14,13 @@ Round-trips are byte-identical for both dtypes.
 from __future__ import annotations
 
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Union
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ContractError, ShapeError
 from .tensors import DenseTensor, SpikeTensor, Tensor, check_shape
 
 MAGIC = b"SPKT"
@@ -88,3 +89,15 @@ def read_manifest(path: Union[str, Path]) -> dict[str, str]:
         key, value = line.split("=", 1)
         out[key.strip()] = value.strip()
     return out
+
+
+@contextmanager
+def manifest_fields(path: Union[str, Path]):
+    """Report a key missing from the manifest at path, or a value that does
+    not parse, as a one-line ContractError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ContractError(f"{path}: missing key {exc}") from None
+    except ValueError as exc:
+        raise ContractError(f"{path}: bad value: {exc}") from None

@@ -85,10 +85,6 @@ def as_array(x) -> np.ndarray:
     return np.asarray(x)
 
 
-def _rewrap(like: Tensor, data: np.ndarray) -> Tensor:
-    return SpikeTensor(data) if isinstance(like, SpikeTensor) else DenseTensor(data)
-
-
 def flatten_spatial(x: SpikeTensor) -> SpikeTensor:
     """[T,B,C,H,W] -> [T,B,H*W,C]; token i at (h, w) maps to index h*W + w."""
     if len(x.shape) != 5:
@@ -96,39 +92,6 @@ def flatten_spatial(x: SpikeTensor) -> SpikeTensor:
     t, b, c, h, w = x.shape
     out = x.data.reshape(t, b, c, h * w).transpose(0, 1, 3, 2)
     return SpikeTensor(np.ascontiguousarray(out))
-
-
-def _check_indices(idx: Sequence[int], n: int) -> np.ndarray:
-    arr = np.asarray(list(idx), dtype=np.int64)
-    if arr.size == 0:
-        raise IndexError("empty index list")
-    if arr.min() < 0 or arr.max() >= n:
-        raise IndexError(f"index out of range for N={n}")
-    if arr.size > 1 and not (np.diff(arr) > 0).all():
-        raise IndexError("indices must be strictly increasing")
-    return arr
-
-
-def gather_tokens(x: Tensor, idx: Sequence[int]) -> Tensor:
-    """Select token rows: [T,B,N,D] -> [T,B,|idx|,D], same idx at every (t, b)."""
-    if len(x.shape) != 4:
-        raise ShapeError(f"gather_tokens expects rank 4, got {x.shape}")
-    arr = _check_indices(idx, x.shape[2])
-    return _rewrap(x, np.ascontiguousarray(x.data[:, :, arr, :]))
-
-
-def scatter_tokens(src: Tensor, idx: Sequence[int], base: Tensor) -> Tensor:
-    """Write src rows into base at idx; all other rows copied from base."""
-    if len(src.shape) != 4 or len(base.shape) != 4:
-        raise ShapeError("scatter_tokens expects rank-4 tensors")
-    arr = _check_indices(idx, base.shape[2])
-    if src.shape[2] != arr.size:
-        raise ShapeError(f"src has {src.shape[2]} rows, idx has {arr.size}")
-    if src.shape[0] != base.shape[0] or src.shape[1] != base.shape[1] or src.shape[3] != base.shape[3]:
-        raise ShapeError(f"src shape {src.shape} incompatible with base {base.shape}")
-    out = np.array(base.data)
-    out[:, :, arr, :] = src.data
-    return _rewrap(base, out)
 
 
 def topk_indices(scores: Sequence[float], k: int) -> list[int]:

@@ -30,12 +30,6 @@ class TokenStats:
     sigma: float
 
 
-@dataclass(frozen=True)
-class ImportanceScore:
-    score: float
-    lam: float
-
-
 def _softplus(x: np.ndarray) -> np.ndarray:
     # log(1 + exp(x)) in the overflow-safe split form; exact limits at |x| large
     ax = np.abs(x)

@@ -1,9 +1,16 @@
 import io
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from spiketrim.cli import cli_main
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 SMALL = ["--train-samples", "48", "--test-samples", "24"]
 
@@ -75,6 +82,54 @@ class TestGenTrainRun:
         assert m1["acc1"] == m2["acc1"]
         assert m1["logits_sha256"] == m2["logits_sha256"]
 
+    @pytest.fixture
+    def artifacts(self, tmp_path):
+        data, model = tmp_path / "data", tmp_path / "model"
+        assert run_cli(["gen", "--out", str(data), "--seed", "3", *SMALL])[0] == 0
+        assert run_cli(["train-head", "--data", str(data), "--out", str(model),
+                        "--seed", "3"])[0] == 0
+        return data, model
+
+    @staticmethod
+    def _drop_key(manifest: Path, key: str):
+        lines = manifest.read_text().splitlines()
+        manifest.write_text("".join(f"{ln}\n" for ln in lines
+                                    if not ln.startswith(f"{key}=")))
+
+    def test_model_manifest_missing_key_exits_2(self, artifacts, capsys):
+        data, model = artifacts
+        self._drop_key(model / "manifest.txt", "n_stages")
+        code, _ = run_cli(["run", "--data", str(data), "--model", str(model)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and "n_stages" in err
+
+    def test_dataset_manifest_missing_key_exits_2(self, artifacts, capsys):
+        data, model = artifacts
+        self._drop_key(data / "test" / "dataset.txt", "grid")
+        code, _ = run_cli(["run", "--data", str(data), "--model", str(model)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and "grid" in err
+
+    def test_merge_dump_mask_names_anchor(self, tmp_path):
+        mask = tmp_path / "m.csv"
+        code, _ = run_cli(["run", "--seed", "2", "--strategy", "uncert-merge",
+                           "--keep-ratio", "0.5", "--dump-mask", str(mask), *SMALL])
+        assert code == 0
+        rows = np.array([[int(v) for v in ln.split(",")]
+                         for ln in mask.read_text().splitlines()[1:]])
+        sample, token, kept, anchor = rows.T
+        assert len(rows) == 24 * 64
+        assert ((kept == 1) == (anchor == token)).all()
+        assert (np.bincount(sample, weights=kept) == 32).all()
+        merged = kept == 0
+        assert merged.any() and (anchor[merged] >= 0).all()
+        # each merge target is one of its sample's anchors
+        anchors = set(zip(sample[~merged].tolist(), token[~merged].tolist()))
+        assert all((m, a) in anchors for m, a in zip(sample[merged].tolist(),
+                                                     anchor[merged].tolist()))
+
     def test_dumps(self, tmp_path):
         unc = tmp_path / "u.csv"
         mask = tmp_path / "m.csv"
@@ -106,6 +161,15 @@ class TestSweepSop:
         assert code == 0
         assert len((out / "results.csv").read_text().strip().splitlines()) == 2
 
+    def test_sweep_config_unknown_key_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("strategies=none\nkeep_ratio=0.5\nseeds=1\n")
+        code, _ = run_cli(["sweep", "--config", str(cfg), "--out",
+                           str(tmp_path / "o"), *SMALL])
+        assert code == 2
+        assert "keep_ratio" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_sweep_cross_process_determinism(self, tmp_path):
         # separate interpreter processes (fresh hash seeds) must agree byte-wise
         import subprocess
@@ -135,3 +199,32 @@ class TestSweepSop:
         assert sops[0] > sops[1] > sops[2]
         reductions = [float(line.split(",")[4]) for line in lines[1:]]
         assert reductions[0] == 0.0 and reductions[1] < reductions[2]
+
+
+def _blas_is_openblas() -> bool:
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+@pytest.mark.skipif(not _blas_is_openblas(), reason="numpy's BLAS is not OpenBLAS")
+@pytest.mark.parametrize("strategy, ratio", [("none", "1.0"), ("uncert-prune", "0.6"),
+                                             ("uncert-merge", "0.6")])
+def test_logits_independent_of_blas_kernel_and_threads(strategy, ratio):
+    """README: results are bit-reproducible regardless of BLAS. The kernel and
+    thread settings go to the child processes only."""
+    hashes = set()
+    for coretype in (None, "Haswell", "Sandybridge"):
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+            env.pop("OPENBLAS_CORETYPE", None)
+            if coretype is not None:
+                env["OPENBLAS_CORETYPE"] = coretype
+            proc = subprocess.run(
+                [sys.executable, "-m", "spiketrim.cli", "run", "--seed", "3",
+                 "--strategy", strategy, "--keep-ratio", ratio, *SMALL],
+                capture_output=True, text=True, env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            hashes.add(metrics(proc.stdout)["logits_sha256"])
+    assert len(hashes) == 1, hashes

@@ -3,8 +3,9 @@ import pytest
 
 from spiketrim.backbone import ModelConfig, init_model
 from spiketrim.data import SyntheticSpec, synth_dataset
-from spiketrim.head import (RidgeConfig, eval_accuracy, eval_metrics, fit_ridge,
-                            pool_features, ridge_solve, topk_classes, train_head)
+from spiketrim.engine import pool_tokens
+from spiketrim.head import (RidgeConfig, eval_metrics, fit_ridge, ridge_solve,
+                            topk_classes, train_head)
 from spiketrim.tensors import DenseTensor, SpikeTensor
 
 
@@ -83,16 +84,16 @@ class TestFitRidge:
 class TestPooling:
     def test_all_ones(self):
         x = SpikeTensor(np.ones((2, 3, 4, 5), dtype=np.uint8))
-        assert (pool_features(x).data == 1.0).all()
+        assert (pool_tokens(x).data == 1.0).all()
 
     def test_all_zeros(self):
         x = SpikeTensor(np.zeros((2, 3, 4, 5), dtype=np.uint8))
-        assert (pool_features(x).data == 0.0).all()
+        assert (pool_tokens(x).data == 0.0).all()
 
     def test_single_spike(self):
         x = np.zeros((2, 1, 3, 4), dtype=np.uint8)
         x[1, 0, 2, 1] = 1
-        pooled = pool_features(SpikeTensor(x))
+        pooled = pool_tokens(SpikeTensor(x))
         assert float(pooled.data[0, 1]) == pytest.approx(1.0 / 6.0)
         assert float(np.abs(pooled.data).sum()) == pytest.approx(1.0 / 6.0)
 
@@ -126,11 +127,11 @@ class TestEval:
     def test_monotone_transform_invariance(self):
         # accuracy depends only on argmax ranking of logits
         model, test = self._trained()
-        base = eval_accuracy(model, test.frames, test.labels)
+        base, _, _ = eval_metrics(model, test.frames, test.labels)
         w = model.head.w.data * np.float32(3.0)
         from spiketrim.backbone import HeadWeights
         model.head = HeadWeights(DenseTensor(w), DenseTensor(model.head.b.data * np.float32(3.0)))
-        assert eval_accuracy(model, test.frames, test.labels) == base
+        assert eval_metrics(model, test.frames, test.labels)[0] == base
 
     def test_deterministic_head(self):
         spec = SyntheticSpec(train_samples=64, test_samples=32)

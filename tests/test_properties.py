@@ -5,12 +5,13 @@ The generators use a fixed numpy seed so failures replay exactly.
 import numpy as np
 import pytest
 
+from spiketrim.backbone import SsaBlockWeights
 from spiketrim.efficiency import SopLedger
 from spiketrim.errors import ShapeError
 from spiketrim.neuron import LifParams, LifState, lif_step
-from spiketrim.selection import apply_merge, build_merge_assignment
-from spiketrim.tensors import (DenseTensor, SpikeTensor, gather_tokens,
-                               scatter_tokens)
+from spiketrim.selection import (apply_merge, build_merge_assignment,
+                                 pruned_ssa_batched)
+from spiketrim.tensors import DenseTensor, SpikeTensor
 
 N_CASES = 1000
 
@@ -34,16 +35,22 @@ def test_spike_tensor_binarity_closure():
 
 
 def test_gather_scatter_roundtrip():
-    """scatter(gather(x, I), I, x) == x bitwise for random x and random
-    strictly increasing I."""
+    """The prune kernel's gather/scatter returns x bitwise for random x and
+    random per-sample keep sets, when the block between them is the identity
+    (zero weights: input current 1 reaches v_th exactly and resets)."""
     rng = np.random.default_rng(202)
     for _ in range(N_CASES):
         t, b, n, d = (int(rng.integers(1, 4)), int(rng.integers(1, 3)),
                       int(rng.integers(2, 10)), int(rng.integers(1, 6)))
         x = SpikeTensor((rng.random((t, b, n, d)) < 0.5).astype(np.uint8))
         k = int(rng.integers(1, n + 1))
-        idx = sorted(rng.choice(n, size=k, replace=False).tolist())
-        out = scatter_tokens(gather_tokens(x, idx), idx, x)
+        anchor = np.full((b, n), -1, dtype=np.int64)
+        for m in range(b):
+            idx = rng.choice(n, size=k, replace=False)
+            anchor[m, idx] = idx
+        zero = DenseTensor(np.zeros((d, d), dtype=np.float32))
+        block = SsaBlockWeights(zero, zero, zero, zero, lif=LifParams(), shift=1)
+        out = pruned_ssa_batched(x, anchor, block)
         assert out.data.tobytes() == x.data.tobytes()
 
 
@@ -58,12 +65,11 @@ def test_merge_convexity_and_weight_normalization():
         k = int(rng.integers(1, n))
         ratio = (k + 0.5) / n  # floor(ratio * n) == k, strictly inside (0, 1)
         scores = DenseTensor(rng.random((1, n)).astype(np.float32))
-        assignment = build_merge_assignment(scores, feats, ratio)[0]
-        merged = apply_merge(feats, [assignment])
-        for ai, anchor in enumerate(assignment.anchors):
-            weights = assignment.weights[anchor]
-            assert abs(sum(weights) - 1.0) <= 1e-6
-            group = assignment.members(anchor)
+        anchor, weights = build_merge_assignment(scores, feats, ratio)
+        merged = apply_merge(feats, anchor, weights)
+        for ai, a in enumerate(np.flatnonzero(anchor[0] == np.arange(n))):
+            group = np.flatnonzero(anchor[0] == a)
+            assert abs(weights[0, group].sum() - 1.0) <= 1e-6
             vals = feats.data[:, 0][:, group, :].astype(np.float64)
             lo, hi = vals.min(axis=1), vals.max(axis=1)
             got = merged.data[:, 0, ai, :]

@@ -4,9 +4,8 @@ import pytest
 from spiketrim.backbone import ModelConfig, StageConfig, init_model, ssa_forward
 from spiketrim.efficiency import SopLedger
 from spiketrim.neuron import LifParams
-from spiketrim.selection import (KeepMask, Strategy, apply_merge,
-                                 build_keep_mask, build_merge_assignment,
-                                 mask_csv, merged_ssa, pruned_ssa,
+from spiketrim.selection import (Strategy, apply_merge, build_keep_mask,
+                                 build_merge_assignment, mask_csv, merged_ssa,
                                  pruned_ssa_batched)
 from spiketrim.tensors import DenseTensor, SpikeTensor
 
@@ -17,6 +16,22 @@ def _block(d=8, scale=1.0, seed=3):
                       stages=(StageConfig(channels=d, blocks=1, w_scales=scale),),
                       insert_block="1.0", seed=seed)
     return init_model(cfg).blocks[0][0]
+
+
+def _keep(n, kept, b=1):
+    """Prune record keeping the same token list in each of b samples."""
+    anchor = np.full((b, n), -1, dtype=np.int64)
+    anchor[:, kept] = kept
+    return anchor
+
+
+def _kept(row):
+    return np.flatnonzero(row >= 0).tolist()
+
+
+def _members(anchor_row, a):
+    """[anchor] + its members ascending, the order of a group's weights."""
+    return [a] + [j for j in np.flatnonzero(anchor_row == a).tolist() if j != a]
 
 
 class TestStrategy:
@@ -32,20 +47,20 @@ class TestStrategy:
 class TestKeepMask:
     def test_floor_arithmetic(self):
         scores = DenseTensor(np.random.default_rng(0).random((1, 10)).astype(np.float32))
-        masks = build_keep_mask(scores, 0.6, Strategy(kind="uncert_prune"))
-        assert len(masks[0].keep_indices) == 6
+        anchor = build_keep_mask(scores, 0.6, Strategy(kind="uncert_prune"))
+        assert len(_kept(anchor[0])) == 6
 
     def test_keep_all(self):
         scores = DenseTensor(np.zeros((1, 5), dtype=np.float32))
-        masks = build_keep_mask(scores, 1.0, Strategy(kind="uncert_prune"))
-        assert masks[0].keep_indices == (0, 1, 2, 3, 4)
+        anchor = build_keep_mask(scores, 1.0, Strategy(kind="uncert_prune"))
+        assert anchor.tolist() == [[0, 1, 2, 3, 4]]
 
     def test_derived_tie_cases(self):
         scores = DenseTensor(np.array([[0.9, 0.1, 0.5, 0.5, 0.3]], dtype=np.float32))
         hi = build_keep_mask(scores, 0.6, Strategy(kind="uncert_prune"))
         lo = build_keep_mask(scores, 0.6, Strategy(kind="low_uncert_prune"))
-        assert list(hi[0].keep_indices) == [0, 2, 3]
-        assert list(lo[0].keep_indices) == [1, 2, 4]
+        assert hi.tolist() == [[0, -1, 2, 3, -1]]
+        assert lo.tolist() == [[-1, 1, 2, -1, 4]]
 
     def test_zero_keep_rejected(self):
         scores = DenseTensor(np.zeros((1, 3), dtype=np.float32))
@@ -57,16 +72,21 @@ class TestKeepMask:
         strat = Strategy(kind="random_prune", seed=99)
         m1 = build_keep_mask(scores, 0.5, strat)
         m2 = build_keep_mask(scores, 0.5, strat)
-        assert [m.keep_indices for m in m1] == [m.keep_indices for m in m2]
-        assert len({m.keep_indices for m in m1}) > 1  # samples differ
+        assert (m1 == m2).all()
+        assert len({tuple(row) for row in m1.tolist()}) > 1  # samples differ
         other = build_keep_mask(scores, 0.5, Strategy(kind="random_prune", seed=100))
-        assert [m.keep_indices for m in m1] != [m.keep_indices for m in other]
+        assert (m1 != other).any()
 
     def test_mask_invariants(self):
-        with pytest.raises(ValueError):
-            KeepMask((0, 2, 1), n_total=4, ratio=0.75)
-        with pytest.raises(ValueError):
-            KeepMask((0, 1), n_total=4, ratio=0.9)
+        # every row keeps floor(ratio * N) tokens at their own index, the rest -1
+        rng = np.random.default_rng(10)
+        scores = DenseTensor(rng.random((4, 10)).astype(np.float32))
+        for kind in ("uncert_prune", "low_uncert_prune", "random_prune"):
+            anchor = build_keep_mask(scores, 0.75, Strategy(kind=kind, seed=1))
+            assert anchor.shape == (4, 10) and anchor.dtype == np.int64
+            own = anchor == np.arange(10)
+            assert (own.sum(axis=1) == 7).all()
+            assert (anchor[~own] == -1).all()
 
 
 class TestPrunedSsa:
@@ -77,8 +97,7 @@ class TestPrunedSsa:
         rng = np.random.default_rng(1)
         block = _block()
         x = self._x(rng)
-        mask = KeepMask((0, 1, 2, 3), n_total=4, ratio=1.0)
-        a = pruned_ssa(x, mask, block)
+        a = pruned_ssa_batched(x, _keep(4, [0, 1, 2, 3], b=2), block)
         b = ssa_forward(x, block)
         assert a.data.tobytes() == b.data.tobytes()
 
@@ -86,9 +105,8 @@ class TestPrunedSsa:
         rng = np.random.default_rng(2)
         block = _block()
         x = self._x(rng)
-        mask = KeepMask((0, 1, 2, 3), n_total=4, ratio=1.0)
         l1, l2 = SopLedger(), SopLedger()
-        pruned_ssa(x, mask, block, l1)
+        pruned_ssa_batched(x, _keep(4, [0, 1, 2, 3], b=2), block, l1)
         ssa_forward(x, block, l2)
         assert l1.entries == l2.entries
 
@@ -96,8 +114,7 @@ class TestPrunedSsa:
         rng = np.random.default_rng(3)
         block = _block()
         x = self._x(rng)
-        mask = KeepMask((1, 3), n_total=4, ratio=0.5)
-        out = pruned_ssa(x, mask, block)
+        out = pruned_ssa_batched(x, _keep(4, [1, 3], b=2), block)
         assert (out.data[:, :, 0, :] == x.data[:, :, 0, :]).all()
         assert (out.data[:, :, 2, :] == x.data[:, :, 2, :]).all()
 
@@ -107,27 +124,26 @@ class TestPrunedSsa:
         x = self._x(rng, (3, 2, 6, 8))
         full, part = SopLedger(), SopLedger()
         ssa_forward(x, block, full)
-        pruned_ssa(x, KeepMask((0, 2, 5), n_total=6, ratio=0.5), block, part)
+        pruned_ssa_batched(x, _keep(6, [0, 2, 5], b=2), block, part)
         assert part.total_ops() < full.total_ops()
 
     def test_batched_equals_per_sample_loop(self):
         rng = np.random.default_rng(5)
         block = _block()
         x = self._x(rng, (3, 4, 6, 8))
-        masks = [KeepMask(tuple(sorted(rng.choice(6, size=3, replace=False).tolist())),
-                          n_total=6, ratio=0.5) for _ in range(4)]
-        batched = pruned_ssa_batched(x, masks, block)
+        anchor = np.concatenate([_keep(6, sorted(rng.choice(6, size=3, replace=False).tolist()))
+                                 for _ in range(4)])
+        batched = pruned_ssa_batched(x, anchor, block)
         for b in range(4):
-            solo = pruned_ssa(SpikeTensor(x.data[:, b : b + 1]), masks[b], block)
+            solo = pruned_ssa_batched(SpikeTensor(x.data[:, b : b + 1]), anchor[b : b + 1], block)
             assert (batched.data[:, b] == solo.data[:, 0]).all()
 
     def test_mask_shared_across_time(self):
-        # the same index object selects every timestep: row equality per t
+        # the same keep set selects every timestep: row equality per t
         rng = np.random.default_rng(6)
         block = _block()
         x = self._x(rng)
-        mask = KeepMask((0, 2), n_total=4, ratio=0.5)
-        out = pruned_ssa(x, mask, block)
+        out = pruned_ssa_batched(x, _keep(4, [0, 2], b=2), block)
         for t in range(x.shape[0]):
             assert (out.data[t, :, (1, 3), :] == x.data[t, :, (1, 3), :]).all()
 
@@ -136,18 +152,18 @@ class TestMerge:
     def test_identical_features_min_anchor_and_uniform(self):
         feats = SpikeTensor(np.ones((2, 1, 4, 3), dtype=np.uint8))
         scores = DenseTensor(np.array([[0.1, 0.9, 0.8, 0.2]], dtype=np.float32))
-        a = build_merge_assignment(scores, feats, 0.5)[0]
-        assert a.anchors == (1, 2)
-        assert a.assign == {0: 1, 3: 1}  # identical sims -> smaller anchor index
-        w = np.array(a.weights[1])
+        anchor, weights = build_merge_assignment(scores, feats, 0.5)
+        # identical sims -> smaller anchor index
+        assert anchor.tolist() == [[1, 1, 2, 1]]
+        w = weights[0, _members(anchor[0], 1)]
         assert w == pytest.approx(np.full(3, 1 / 3), abs=1e-6)  # identical sims
 
     def test_no_member_weight_is_one(self):
         feats = SpikeTensor(np.ones((2, 1, 4, 3), dtype=np.uint8))
         scores = DenseTensor(np.array([[0.1, 0.9, 0.8, 0.2]], dtype=np.float32))
-        a = build_merge_assignment(scores, feats, 0.5)[0]
-        assert a.weights[2] == (1.0,)
-        merged = apply_merge(feats, [a])
+        anchor, weights = build_merge_assignment(scores, feats, 0.5)
+        assert weights[0, 2] == 1.0
+        merged = apply_merge(feats, anchor, weights)
         assert (merged.data[:, 0, 1, :] == 1.0).all()  # anchor == itself
 
     def test_two_way_softmax_weights(self):
@@ -155,22 +171,22 @@ class TestMerge:
         feats[0, 0, 0] = [1, 0]
         feats[0, 0, 1] = [0, 1]
         scores = DenseTensor(np.array([[1.0, 0.0]], dtype=np.float32))
-        a = build_merge_assignment(scores, SpikeTensor(feats), 0.5)[0]
-        assert a.weights[0][0] == pytest.approx(0.7310586, abs=1e-6)
-        assert a.weights[0][1] == pytest.approx(0.2689414, abs=1e-6)
-        merged = apply_merge(SpikeTensor(feats), [a])
+        anchor, weights = build_merge_assignment(scores, SpikeTensor(feats), 0.5)
+        assert weights[0, 0] == pytest.approx(0.7310586, abs=1e-6)
+        assert weights[0, 1] == pytest.approx(0.2689414, abs=1e-6)
+        merged = apply_merge(SpikeTensor(feats), anchor, weights)
         assert merged.data[0, 0, 0].tolist() == pytest.approx([0.7310586, 0.2689414], abs=1e-6)
 
     def test_weight_normalization_and_convexity(self):
         rng = np.random.default_rng(7)
         feats = SpikeTensor((rng.random((3, 2, 10, 4)) < 0.5).astype(np.uint8))
         scores = DenseTensor(rng.random((2, 10)).astype(np.float32))
-        assignments = build_merge_assignment(scores, feats, 0.4)
-        merged = apply_merge(feats, assignments)
-        for m, a in enumerate(assignments):
-            for ai, anchor in enumerate(a.anchors):
-                assert sum(a.weights[anchor]) == pytest.approx(1.0, abs=1e-6)
-                group = a.members(anchor)
+        anchor, weights = build_merge_assignment(scores, feats, 0.4)
+        merged = apply_merge(feats, anchor, weights)
+        for m in range(2):
+            for ai, a in enumerate(np.flatnonzero(anchor[m] == np.arange(10))):
+                group = _members(anchor[m], a)
+                assert weights[m, group].sum() == pytest.approx(1.0, abs=1e-6)
                 vals = feats.data[:, m][:, group, :].astype(np.float64)
                 assert (merged.data[:, m, ai, :] >= vals.min(axis=1) - 1e-6).all()
                 assert (merged.data[:, m, ai, :] <= vals.max(axis=1) + 1e-6).all()
@@ -179,8 +195,10 @@ class TestMerge:
         rng = np.random.default_rng(8)
         feats = SpikeTensor((rng.random((2, 1, 8, 4)) < 0.5).astype(np.uint8))
         scores = DenseTensor(rng.random((1, 8)).astype(np.float32))
-        a = build_merge_assignment(scores, feats, 0.5)[0]
-        assert sorted(list(a.assign) + list(a.anchors)) == list(range(8))
+        anchor, _ = build_merge_assignment(scores, feats, 0.5)
+        anchors = np.flatnonzero(anchor[0] == np.arange(8))
+        assert len(anchors) == 4
+        assert np.isin(anchor[0], anchors).all()  # each token names one anchor
 
     def test_ratio_bounds(self):
         feats = SpikeTensor(np.ones((1, 1, 4, 2), dtype=np.uint8))
@@ -194,22 +212,58 @@ class TestMerge:
         feats[0, 0, 1] = [1, 0]
         # token 2 all-zero -> cosine 0 to every anchor -> joins smaller anchor
         scores = DenseTensor(np.array([[0.9, 0.8, 0.1]], dtype=np.float32))
-        a = build_merge_assignment(scores, SpikeTensor(feats), 0.67)[0]
-        assert a.assign[2] == 0
+        anchor, _ = build_merge_assignment(scores, SpikeTensor(feats), 0.67)
+        assert anchor[0, 2] == 0
 
     def test_merged_ssa_reduces_tokens(self):
         rng = np.random.default_rng(9)
         block = _block()
         feats = SpikeTensor((rng.random((2, 2, 4, 8)) < 0.5).astype(np.uint8))
         scores = DenseTensor(rng.random((2, 4)).astype(np.float32))
-        assignments = build_merge_assignment(scores, feats, 0.5)
-        out = merged_ssa(feats, assignments, block, LifParams())
+        anchor, weights = build_merge_assignment(scores, feats, 0.5)
+        out = merged_ssa(feats, anchor, weights, block, LifParams())
         assert out.shape == (2, 2, 2, 8)
+
+    def test_matches_per_group_loop(self):
+        # reference: the dict-based per-anchor loop the array form replaced,
+        # with groups of eight and more where pairwise summation kicks in
+        rng = np.random.default_rng(12)
+        feats = SpikeTensor((rng.random((4, 3, 24, 6)) < 0.3).astype(np.uint8))
+        scores = DenseTensor(rng.random((3, 24)).astype(np.float32))
+        for ratio in (0.8, 0.4, 0.2):
+            anchor, weights = build_merge_assignment(scores, feats, ratio)
+            merged = apply_merge(feats, anchor, weights).data
+            for m in range(3):
+                zbar = feats.data[:, m].astype(np.float64).mean(axis=0)
+                norms = np.sqrt((zbar**2).sum(axis=-1))
+                xm = feats.data[:, m].astype(np.float64)
+                anchors = np.flatnonzero(anchor[m] == np.arange(24))
+                for ai, a in enumerate(anchors):
+                    group = _members(anchor[m], a)
+                    sims = [1.0 if j == a else
+                            0.0 if norms[j] == 0.0 or norms[a] == 0.0 else
+                            float(zbar[a] @ zbar[j] / (norms[a] * norms[j]))
+                            for j in group]
+                    w = np.exp(np.asarray(sims, dtype=np.float64))
+                    w /= w.sum()
+                    assert weights[m, group].tobytes() == w.tobytes()
+                    ref = np.einsum("j,tjd->td", w, xm[:, group]).astype(np.float32)
+                    assert merged[:, m, ai].tobytes() == ref.tobytes()
+
+    def test_apply_merge_charges_every_token_once(self):
+        rng = np.random.default_rng(13)
+        feats = SpikeTensor((rng.random((3, 2, 10, 4)) < 0.5).astype(np.uint8))
+        scores = DenseTensor(rng.random((2, 10)).astype(np.float32))
+        anchor, weights = build_merge_assignment(scores, feats, 0.4)
+        ledger = SopLedger()
+        apply_merge(feats, anchor, weights, ledger, label="m")
+        assert ledger.entries["m"] == (0, 3 * 2 * 10 * 4)
 
 
 def test_mask_csv_layout():
-    masks = [KeepMask((0, 2), n_total=4, ratio=0.5)]
-    text = mask_csv(masks, None, 4)
+    text = mask_csv(_keep(4, [0, 2]))
     lines = text.strip().split("\n")
     assert lines[0] == "sample,token,kept,anchor"
     assert lines[1:] == ["0,0,1,0", "0,1,0,-1", "0,2,1,2", "0,3,0,-1"]
+    merged = mask_csv(np.array([[1, 1, 2, 1]]))
+    assert merged.strip().split("\n")[1:] == ["0,0,0,1", "0,1,1,1", "0,2,1,2", "0,3,0,1"]

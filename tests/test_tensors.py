@@ -3,11 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spiketrim import selection
+from spiketrim.backbone import SsaBlockWeights
 from spiketrim.efficiency import SopLedger
 from spiketrim.errors import ShapeError
+from spiketrim.neuron import LifParams
+from spiketrim.selection import pruned_ssa_batched
 from spiketrim.tensors import (DenseTensor, SpikeTensor, check_shape,
-                               flatten_spatial, gather_tokens, reduce_mean_std,
-                               scatter_tokens, spike_dense_matmul, topk_indices)
+                               flatten_spatial, reduce_mean_std,
+                               spike_dense_matmul, topk_indices)
 
 
 class TestShapes:
@@ -66,54 +70,84 @@ class TestFlattenSpatial:
             flatten_spatial(SpikeTensor(np.zeros((2, 2, 2), dtype=np.uint8)))
 
 
+def _identity_block(d):
+    """Zero weights: input current 1 reaches v_th exactly and resets, so the
+    block maps every spike tensor to itself."""
+    zero = DenseTensor(np.zeros((d, d), dtype=np.float32))
+    return SsaBlockWeights(zero, zero, zero, zero, lif=LifParams(), shift=1)
+
+
+def _keep(n, kept, b):
+    anchor = np.full((b, n), -1, dtype=np.int64)
+    anchor[:, kept] = kept
+    return anchor
+
+
 class TestGatherScatter:
+    """Token gather/scatter, done in one place: the prune kernel gathers each
+    sample's kept rows, runs the block on them and scatters them back."""
+
     def _random(self, rng, shape=(3, 2, 6, 4)):
         return SpikeTensor((rng.random(shape) < 0.5).astype(np.uint8))
 
-    def test_identity_gather(self):
+    def _gathered(self, monkeypatch, x, anchor):
+        seen = []
+
+        def capture(g, w, ledger=None):
+            seen.append(g.data.copy())
+            return g
+        monkeypatch.setattr(selection, "ssa_forward", capture)
+        pruned_ssa_batched(x, anchor, None)
+        return seen[0]
+
+    def test_identity_gather(self, monkeypatch):
         rng = np.random.default_rng(0)
         x = self._random(rng)
-        assert (gather_tokens(x, range(6)).data == x.data).all()
+        assert (self._gathered(monkeypatch, x, _keep(6, range(6), 2)) == x.data).all()
 
-    def test_single_row(self):
+    def test_single_row(self, monkeypatch):
         rng = np.random.default_rng(1)
         x = self._random(rng, (2, 2, 4, 3))
-        g = gather_tokens(x, [2])
-        assert (g.data[:, :, 0, :] == x.data[:, :, 2, :]).all()
+        g = self._gathered(monkeypatch, x, _keep(4, [2], 2))
+        assert (g[:, :, 0, :] == x.data[:, :, 2, :]).all()
 
     def test_roundtrip(self):
         rng = np.random.default_rng(2)
         x = self._random(rng)
-        idx = [0, 2, 5]
-        assert (scatter_tokens(gather_tokens(x, idx), idx, x).data == x.data).all()
+        out = pruned_ssa_batched(x, _keep(6, [0, 2, 5], 2), _identity_block(4))
+        assert (out.data == x.data).all()
 
-    def test_scatter_construction(self):
+    def test_scatter_construction(self, monkeypatch):
+        monkeypatch.setattr(selection, "ssa_forward",
+                            lambda g, w, ledger=None: SpikeTensor(np.ones_like(g.data)))
         base = SpikeTensor(np.zeros((1, 1, 4, 2), dtype=np.uint8))
-        src = SpikeTensor(np.ones((1, 1, 2, 2), dtype=np.uint8))
-        out = scatter_tokens(src, [1, 3], base)
+        out = pruned_ssa_batched(base, _keep(4, [1, 3], 1), None)
         assert out.data[0, 0].tolist() == [[0, 0], [1, 1], [0, 0], [1, 1]]
 
-    def test_scatter_full_cover(self):
+    def test_scatter_full_cover(self, monkeypatch):
         rng = np.random.default_rng(3)
         base = self._random(rng, (2, 1, 3, 2))
         src = self._random(rng, (2, 1, 3, 2))
-        assert (scatter_tokens(src, [0, 1, 2], base).data == src.data).all()
+        monkeypatch.setattr(selection, "ssa_forward", lambda g, w, ledger=None: src)
+        out = pruned_ssa_batched(base, _keep(3, [0, 1, 2], 1), None)
+        assert (out.data == src.data).all()
 
-    def test_preserves_dense_type(self):
-        x = DenseTensor(np.arange(24, dtype=np.float32).reshape(2, 1, 4, 3))
-        assert isinstance(gather_tokens(x, [1, 2]), DenseTensor)
-
-    @pytest.mark.parametrize("idx", [[3, 1], [0, 0], [9], [-1]])
+    @pytest.mark.parametrize("idx", [
+        [[0, 0, 2, -1]],  # another token's index: a merge record
+        [[0, 1, 2, -2]],  # negative but not -1
+        [[-1, -1, -1, -1]],  # keeps nothing
+        [[0, -1, 2, -1], [0, 1, 2, -1]],  # unequal keep counts
+    ])
     def test_bad_indices(self, idx):
-        x = SpikeTensor(np.zeros((1, 1, 4, 2), dtype=np.uint8))
-        with pytest.raises(IndexError):
-            gather_tokens(x, idx)
+        anchor = np.array(idx, dtype=np.int64)
+        x = SpikeTensor(np.zeros((1, anchor.shape[0], 4, 2), dtype=np.uint8))
+        with pytest.raises(ShapeError):
+            pruned_ssa_batched(x, anchor, _identity_block(2))
 
     def test_scatter_length_mismatch(self):
         base = SpikeTensor(np.zeros((1, 1, 4, 2), dtype=np.uint8))
-        src = SpikeTensor(np.ones((1, 1, 3, 2), dtype=np.uint8))
         with pytest.raises(ShapeError):
-            scatter_tokens(src, [0, 1], base)
+            pruned_ssa_batched(base, _keep(3, [0, 1], 1), _identity_block(2))
 
 
 class TestTopK:

@@ -7,6 +7,13 @@ all and BLAS summation order cannot affect results. The classifier head is the
 single exception (ridge weights are arbitrary reals); token_logits therefore
 accumulates in an explicit ascending-index loop.
 
+Silent-token law: there are no biases, so a token whose input is zero at every
+step of a block stays silent through it and adds only exact zeros to the
+other tokens' sums, for any weights. ssa_forward therefore computes only on
+each sample's active tokens and token_logits only on rows with a nonzero
+feature, with every output bit unchanged. The ledger is not execution: charges
+stay structural and are counted on the full token count N.
+
 The patch embedding uses per-position projection weights: one weight block per
 token position. With weight sharing the whole network would be permutation
 equivariant over token positions and mean pooling would erase all position
@@ -93,7 +100,6 @@ class ModelConfig:
     lif: LifParams = field(default_factory=LifParams)
     seed: int = 1
     embed_scale: float = 0.25
-    embed_init: str = "sign"
     attn_shift: int = 1
     insert_block: str = "3.1"
 
@@ -104,8 +110,6 @@ class ModelConfig:
             raise ConfigError("num_classes must be >= 2")
         if self.patch < 1 or self.height % self.patch or self.width % self.patch:
             raise ConfigError("patch size must divide height and width")
-        if self.embed_init not in ("sign", "uniform"):
-            raise ConfigError(f"unknown embed_init {self.embed_init!r}")
         if not self.stages:
             raise ConfigError("at least one stage required")
         gh, gw = self.height // self.patch, self.width // self.patch
@@ -196,11 +200,8 @@ def init_model(config: ModelConfig) -> Model:
     gh, gw = config.height // config.patch, config.width // config.patch
     n_tokens = gh * gw
     d1 = config.stages[0].channels
-    emb_stream = stream(config.seed, "embed")
-    if config.embed_init == "sign":
-        emb = emb_stream.sign_magnitude((n_tokens, n_feat, d1), config.embed_scale)
-    else:
-        emb = emb_stream.uniform_grid((n_tokens, n_feat, d1), config.embed_scale)
+    emb = stream(config.seed, "embed").sign_magnitude((n_tokens, n_feat, d1),
+                                                      config.embed_scale)
     embed_w = DenseTensor(emb.astype(np.float32))
 
     entries: list[Optional[DownsampleWeights]] = []
@@ -320,6 +321,18 @@ def ssa_forward(x: SpikeTensor, w: SsaBlockWeights,
     Per timestep: Q/K/V = LIF(linear(x_t)) with states carried across time;
     Y = (Q K^T) V; output current = proj(Y) * 2**-shift + x_t (residual enters
     as current), binarized by the output LIF. No softmax, no normalization.
+
+    Silent-token law: a token whose input row is zero at every step is a fixed
+    point of the block for any weights (there are no biases). Its membranes
+    stay at 0, so its Q, K and V rows are 0, its row of A is 0 and it emits
+    no spike, and its K and V rows add only exact zeros to the other tokens'
+    sums. The block therefore runs on each sample's active tokens, gathered
+    in ascending order and padded to the batch's largest active count with
+    the sample's own silent tokens, and scatters the result into a zero
+    output. Every matmul operand sits on the dyadic grid, so dropping the
+    zero terms changes no bit. Charges stay structural and are counted on the
+    full N: qkv from nnz(x_t), attn from nnz(Q) over N tokens, proj on all
+    B*N rows.
     """
     t_steps, b, n, d = x.shape
     if w.w_q.shape[0] != d:
@@ -329,25 +342,33 @@ def ssa_forward(x: SpikeTensor, w: SsaBlockWeights,
     wv = w.w_v.data.astype(np.float64)
     wp = w.w_proj.data.astype(np.float64)
     scale = 2.0 ** (-w.shift)
-    states = [LifState.zeros(w.lif, (b, n, d)) for _ in range(4)]
-    out = np.zeros((t_steps, b, n, d), dtype=np.uint8)
+    active = x.data.any(axis=0).any(axis=-1)  # [B,N]
+    # at least one row keeps an all-silent batch on the same path
+    m = max(int(active.sum(axis=1).max()), 1)
+    # stable: each sample's active tokens ascending, then its silent ones
+    rows = np.arange(b)[:, None]
+    idx = np.argsort(~active, axis=1, kind="stable")[:, :m]
+    xs = x.data[:, rows, idx]  # [T,B,m,D]
+    states = [LifState.zeros(w.lif, (b, m, d)) for _ in range(4)]
+    spikes = np.empty((t_steps, b, m, d), dtype=np.uint8)
     from .neuron import lif_step  # local alias, keeps hot loop tight
 
     for t in range(t_steps):
-        xt = x.data[t].astype(np.float64)  # [B,N,D]
-        nnz_x = int(x.data[t].sum(dtype=np.int64))
+        xt = xs[t].astype(np.float64)  # [B,m,D]
         q = lif_step(states[0], xt @ wq).data.astype(np.float64)
         k = lif_step(states[1], xt @ wk).data.astype(np.float64)
         v = lif_step(states[2], xt @ wv).data.astype(np.float64)
         a, y = attention_core(q, k, v)
         z = (y @ wp) * scale
-        spikes = lif_step(states[3], z + xt)
-        out[t] = spikes.data
+        spikes[t] = lif_step(states[3], z + xt).data
         if ledger is not None:
+            nnz_x = int(xs[t].sum(dtype=np.int64))
             ledger.add(f"{w.label}.qkv", spike_accumulates=count_linear(nnz_x, d) * 3)
             sa, macs = count_attention(int(q.sum(dtype=np.int64)), n, d)
             ledger.add(f"{w.label}.attn", spike_accumulates=sa, dense_macs=macs * b)
             ledger.add(f"{w.label}.proj", dense_macs=b * n * d * d)
+    out = np.zeros((t_steps, b, n, d), dtype=np.uint8)
+    out[:, rows, idx] = spikes
     return SpikeTensor(out)
 
 
@@ -355,18 +376,28 @@ def token_logits(z, head: HeadWeights) -> DenseTensor:
     """Affine map per token: [.., D] -> [.., C], ascending-index accumulation.
 
     The head weights come from a ridge solve and are not grid-exact, so the
-    reduction order is pinned explicitly to stay bit-reproducible.
+    reduction order is pinned explicitly to stay bit-reproducible. A row with
+    no nonzero feature has logits exactly b (0.0 plus zero products plus b),
+    so the loop runs only over rows with a nonzero feature and the other rows
+    are filled with b; spike tokens are mostly silent, pooled features mostly
+    not.
     """
     arr = as_array(z)
     wf = head.w.data.astype(np.float64)
     if arr.shape[-1] != wf.shape[0]:
         raise ShapeError(f"feature dim {arr.shape[-1]} vs head {head.w.shape}")
-    arr = arr.astype(np.float64)
-    out = np.zeros(arr.shape[:-1] + (wf.shape[1],), dtype=np.float64)
+    rows = arr.reshape(-1, wf.shape[0])
+    live = rows.any(axis=1)
+    feats = rows[live].astype(np.float64)
+    acc = np.zeros((feats.shape[0], wf.shape[1]), dtype=np.float64)
     for k in range(wf.shape[0]):
-        out += arr[..., k : k + 1] * wf[k]
-    out += head.b.data.astype(np.float64)
-    return DenseTensor(out.astype(np.float32))
+        acc += feats[:, k : k + 1] * wf[k]
+    bias = head.b.data.astype(np.float64)
+    acc += bias
+    out = np.empty((rows.shape[0], wf.shape[1]), dtype=np.float64)
+    out[:] = 0.0 + bias  # what the loop gives a zero row, -0.0 included
+    out[live] = acc
+    return DenseTensor(out.reshape(arr.shape[:-1] + (wf.shape[1],)).astype(np.float32))
 
 
 # --- serialization ---------------------------------------------------------
@@ -390,7 +421,6 @@ def save_model(model: Model, directory: Union[str, Path]) -> None:
         "tau": repr(cfg.lif.tau),
         "vth": repr(cfg.lif.v_th),
         "embed_scale": repr(cfg.embed_scale),
-        "embed_init": cfg.embed_init,
         "attn_shift": str(cfg.attn_shift),
         "insert_block": cfg.insert_block,
         "n_stages": str(len(cfg.stages)),
@@ -439,7 +469,6 @@ def load_model(directory: Union[str, Path]) -> Model:
             lif=LifParams(tau=float(m["tau"]), v_th=float(m["vth"])),
             seed=int(m["seed"]),
             embed_scale=float(m["embed_scale"]),
-            embed_init=m["embed_init"],
             attn_shift=int(m["attn_shift"]),
             insert_block=m["insert_block"],
         )

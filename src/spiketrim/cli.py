@@ -224,6 +224,7 @@ def _cmd_sweep(args) -> int:
     if args.score_mode:
         entries["score_mode"] = args.score_mode
     entries.setdefault("insert_block", args.insert_block)
+    entries.setdefault("l2", repr(args.l2))
     cfg = sweep_config_from_entries(entries)
     spec = _spec_from(args)
     model_cfg = _model_config_from(args, spec, cfg.seeds[0])

@@ -113,11 +113,15 @@ def forward_full(model: Model, frames, reduction: Optional[ReductionPlan] = None
             if (s, b_i) != insert:
                 x = ssa_forward(x, block, ledger)
                 continue
+            u = None
+            if capture or (reduce and plan.strategy.kind != "random_prune"):
+                # one trajectory array serves the dump and the scores
+                u = uncertainty_trajectories(x, model.head)
             if capture:
                 # dumps always measure at the insertion block's input tokens
-                detail.trajectories = uncertainty_trajectories(x, model.head)
+                detail.trajectories = u
             if reduce:
-                x = _reduced_block(model, x, block, plan, ledger, detail)
+                x = _reduced_block(model, x, block, plan, u, ledger, detail)
             else:
                 b, n = x.shape[1], x.shape[2]
                 detail.anchor = np.tile(np.arange(n, dtype=np.int64), (b, 1))
@@ -130,13 +134,14 @@ def forward_full(model: Model, frames, reduction: Optional[ReductionPlan] = None
 
 
 def _reduced_block(model: Model, x: SpikeTensor, block, plan: ReductionPlan,
-                   ledger: SopLedger, detail: SelectionDetail) -> SpikeTensor:
+                   u: Optional[np.ndarray], ledger: SopLedger,
+                   detail: SelectionDetail) -> SpikeTensor:
     strat = plan.strategy
     if strat.kind == "random_prune":
         # the seeded draw needs only the [B, N] shape
         scores = DenseTensor(np.zeros(x.shape[1:3], dtype=np.float32))
     else:
-        scores = score_tokens(x, model.head, lam=strat.lam, mode=strat.score_mode)
+        scores = score_tokens(u, lam=strat.lam, mode=strat.score_mode)
         detail.scores = scores
     if strat.kind == "uncert_merge":
         detail.anchor, detail.weights = build_merge_assignment(scores, x, plan.keep_ratio)

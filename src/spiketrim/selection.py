@@ -108,18 +108,17 @@ def pruned_ssa_batched(x: SpikeTensor, anchor: np.ndarray, w: SsaBlockWeights,
     elementwise per batch entry, and all matmul operands are exact, so
     batching cannot change any value.
     """
-    t, b, n, d = x.shape
+    b, n = x.shape[1:3]
     if anchor.shape != (b, n):
         raise ShapeError(f"anchor {anchor.shape} for tokens {x.shape}")
     kept = _kept(anchor)
     if (anchor[~kept] != -1).any():
         raise ShapeError("a prune record holds only -1 or the token's own index")
+    rows = np.arange(b)[:, None]
     idx = np.nonzero(kept)[1].reshape(b, -1)  # [B, k], ascending per sample
-    expand = np.broadcast_to(idx[None, :, :, None], (t, b, idx.shape[1], d))
-    gathered = SpikeTensor(np.take_along_axis(x.data, expand, axis=2))
-    updated = ssa_forward(gathered, w, ledger)
+    updated = ssa_forward(SpikeTensor(x.data[:, rows, idx]), w, ledger)
     out = np.array(x.data)
-    np.put_along_axis(out, expand, updated.data, axis=2)
+    out[:, rows, idx] = updated.data
     return SpikeTensor(out)
 
 

@@ -10,8 +10,8 @@ import math
 
 import numpy as np
 
-from .backbone import (HeadWeights, ModelConfig, SsaBlockWeights, attention_core,
-                       init_model, token_logits)
+from .backbone import (HeadWeights, ModelConfig, SsaBlockWeights, StageConfig,
+                       attention_core, init_model, ssa_forward, token_logits)
 from .data import SyntheticSpec, synth_dataset
 from .efficiency import (EnergyModel, SopLedger, count_attention, count_linear,
                          energy_mj, reduction_percent)
@@ -23,7 +23,8 @@ from .selection import (Strategy, apply_merge, build_keep_mask,
 from .tensors import (DenseTensor, SpikeTensor, flatten_spatial, reduce_mean_std,
                       spike_dense_matmul, topk_indices)
 from .uncertainty import (evidence_from_logits, importance_score, score_tokens,
-                          trajectory_stats, uncertainty_from_evidence)
+                          trajectory_stats, uncertainty_from_evidence,
+                          uncertainty_trajectories)
 
 TOL = 1e-6
 
@@ -212,7 +213,7 @@ def check_score_scalar_oracle():
         DenseTensor(rng.normal(size=(5, 3)).astype(np.float32)),
         DenseTensor(rng.normal(size=3).astype(np.float32)),
     )
-    scores = score_tokens(tokens, head, lam=0.9)
+    scores = score_tokens(uncertainty_trajectories(tokens, head), lam=0.9)
     for b in range(2):
         for i in range(4):
             traj = []
@@ -225,6 +226,45 @@ def check_score_scalar_oracle():
             mu = sum(traj) / 3.0
             sigma = math.sqrt(sum((u - mu) ** 2 for u in traj) / 3.0)
             _close(float(scores.data[b, i]), mu + 0.9 * sigma, tol=1e-5)
+
+
+def _dense_ssa(x: SpikeTensor, w: SsaBlockWeights, ledger: SopLedger) -> np.ndarray:
+    """The block over all N tokens at every step, silent ones included."""
+    t_steps, b, n, d = x.shape
+    ws = [m.data.astype(np.float64) for m in (w.w_q, w.w_k, w.w_v, w.w_proj)]
+    states = [LifState.zeros(w.lif, (b, n, d)) for _ in range(4)]
+    out = np.zeros(x.shape, dtype=np.uint8)
+    for t in range(t_steps):
+        xt = x.data[t].astype(np.float64)
+        q, k, v = (lif_step(st, xt @ wm).data.astype(np.float64)
+                   for st, wm in zip(states[:3], ws[:3]))
+        _, y = attention_core(q, k, v)
+        out[t] = lif_step(states[3], (y @ ws[3]) * 2.0 ** (-w.shift) + xt).data
+        nnz_x = x.data[t].sum(dtype=np.int64)
+        ledger.add(f"{w.label}.qkv", spike_accumulates=count_linear(nnz_x, d) * 3)
+        sa, macs = count_attention(q.sum(dtype=np.int64), n, d)
+        ledger.add(f"{w.label}.attn", spike_accumulates=sa, dense_macs=macs * b)
+        ledger.add(f"{w.label}.proj", dense_macs=b * n * d * d)
+    return out
+
+
+def check_active_token_block():
+    # silent tokens are fixed points, so running the block on active tokens
+    # only must reproduce the dense block's spikes and structural charges
+    cfg = ModelConfig(steps=3, in_channels=1, height=2, width=4, num_classes=2,
+                      stages=(StageConfig(channels=8, blocks=1, w_scales=1.0),),
+                      insert_block="1.0", seed=3)
+    block = init_model(cfg).blocks[0][0]
+    rng = np.random.default_rng(5)
+    active = np.array([[0] * 8, [1, 1, 0, 1, 1, 1, 0, 1], [0, 1, 0, 0, 1, 1, 0, 0]],
+                      dtype=bool)
+    x = SpikeTensor(((rng.random((3, 3, 8, 8)) < 0.2) & active[None, :, :, None])
+                    .astype(np.uint8))
+    dense_ledger, ledger = SopLedger(), SopLedger()
+    expect = _dense_ssa(x, block, dense_ledger)
+    assert expect.any(), "oracle batch emits no spike"
+    assert (ssa_forward(x, block, ledger).data == expect).all()
+    assert ledger.entries == dense_ledger.entries, (ledger.entries, dense_ledger.entries)
 
 
 def check_forward_determinism():
@@ -259,6 +299,7 @@ CHECKS = [
     ("pooling single spike", check_pool_single_spike),
     ("score scalar-loop oracle", check_score_scalar_oracle),
     ("forward determinism", check_forward_determinism),
+    ("active-token block equals dense block", check_active_token_block),
 ]
 
 

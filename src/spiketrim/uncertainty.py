@@ -73,9 +73,9 @@ def uncertainty_trajectories(stage_tokens: SpikeTensor, head: HeadWeights) -> np
     return c / (c + e.sum(axis=-1))
 
 
-def score_tokens(stage_tokens: SpikeTensor, head: HeadWeights, lam: float = 0.9,
-                 mode: str = "full") -> DenseTensor:
-    """Importance scores [B, N] from temporally aggregated token uncertainty.
+def score_tokens(u: np.ndarray, lam: float = 0.9, mode: str = "full") -> DenseTensor:
+    """Importance scores [B, N] from a [T,B,N] uncertainty trajectory array
+    (uncertainty_trajectories), aggregated over time.
 
     Scores are per batch element; no cross-sample mixing. The returned values
     depend on mode: full = mu + lam * sigma, mean_only = mu, std_only = sigma,
@@ -85,7 +85,6 @@ def score_tokens(stage_tokens: SpikeTensor, head: HeadWeights, lam: float = 0.9,
         raise ValueError(f"unknown score mode {mode!r}")
     if lam < 0:
         raise ValueError("lambda must be non-negative")
-    u = uncertainty_trajectories(stage_tokens, head)  # [T,B,N]
     mu = u.mean(axis=0)
     sigma = np.sqrt(((u - mu) ** 2).mean(axis=0))
     if mode == "full":

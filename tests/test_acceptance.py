@@ -23,7 +23,7 @@ from spiketrim.sweep import (SweepConfig, build_plan, parse_config_text,
                              prepared_model, rows_csv, run_sweep)
 from spiketrim.svg import emit_svg_lines
 from spiketrim.tensors import topk_indices
-from spiketrim.uncertainty import score_tokens
+from spiketrim.uncertainty import score_tokens, uncertainty_trajectories
 
 ROOT = Path(__file__).resolve().parent.parent
 THRESHOLDS = parse_config_text((ROOT / "acceptance.cfg").read_text())
@@ -143,8 +143,9 @@ def test_criterion_5_score_ablations(prepared):
     # lambda = 0 must reproduce the mean-only keep sets exactly
     model, test = prepared[1]
     stage = forward_full(model, test.frames).stage_tokens[-2]
-    lam0 = score_tokens(stage, model.head, lam=0.0, mode="full")
-    mean_only = score_tokens(stage, model.head, mode="mean_only")
+    u = uncertainty_trajectories(stage, model.head)
+    lam0 = score_tokens(u, lam=0.0, mode="full")
+    mean_only = score_tokens(u, mode="mean_only")
     m_lam0 = build_keep_mask(lam0, 0.6, Strategy(kind="uncert_prune"))
     m_mean = build_keep_mask(mean_only, 0.6, Strategy(kind="uncert_prune"))
     assert (m_lam0 == m_mean).all()

@@ -1,14 +1,19 @@
+import hashlib
+
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from spiketrim import selection
 from spiketrim.backbone import (HeadWeights, ModelConfig, StageConfig,
                                 attention_core, downsample_tokens, init_model,
                                 load_model, patch_embed, save_model,
                                 ssa_forward, token_logits)
-from spiketrim.efficiency import SopLedger
+from spiketrim.efficiency import SopLedger, count_attention, count_linear
 from spiketrim.errors import ConfigError, ShapeError
-from spiketrim.neuron import LifParams
+from spiketrim.neuron import LifParams, LifState, lif_step
 from spiketrim.tensors import DenseTensor, SpikeTensor
 
 
@@ -175,6 +180,126 @@ class TestSsaForward:
             ssa_forward(SpikeTensor(np.zeros((2, 1, 4, 6), dtype=np.uint8)), block)
 
 
+def dense_ssa_reference(x: SpikeTensor, w, ledger=None) -> SpikeTensor:
+    """The block run over all N tokens at every step: the oracle for the
+    active-token path of ssa_forward."""
+    t_steps, b, n, d = x.shape
+    wq, wk, wv, wp = (m.data.astype(np.float64) for m in (w.w_q, w.w_k, w.w_v, w.w_proj))
+    states = [LifState.zeros(w.lif, (b, n, d)) for _ in range(4)]
+    out = np.zeros((t_steps, b, n, d), dtype=np.uint8)
+    for t in range(t_steps):
+        xt = x.data[t].astype(np.float64)
+        nnz_x = int(x.data[t].sum(dtype=np.int64))
+        q = lif_step(states[0], xt @ wq).data.astype(np.float64)
+        k = lif_step(states[1], xt @ wk).data.astype(np.float64)
+        v = lif_step(states[2], xt @ wv).data.astype(np.float64)
+        a, y = attention_core(q, k, v)
+        z = (y @ wp) * 2.0 ** (-w.shift)
+        out[t] = lif_step(states[3], z + xt).data
+        if ledger is not None:
+            ledger.add(f"{w.label}.qkv", spike_accumulates=count_linear(nnz_x, d) * 3)
+            sa, macs = count_attention(int(q.sum(dtype=np.int64)), n, d)
+            ledger.add(f"{w.label}.attn", spike_accumulates=sa, dense_macs=macs * b)
+            ledger.add(f"{w.label}.proj", dense_macs=b * n * d * d)
+    return SpikeTensor(out)
+
+
+def _active_block(d=8, seed=3):
+    cfg = ModelConfig(steps=2, in_channels=1, height=2, width=2, patch=1,
+                      num_classes=2,
+                      stages=(StageConfig(channels=d, blocks=1, w_scales=1.0),),
+                      insert_block="1.0", seed=seed)
+    return init_model(cfg).blocks[0][0]
+
+
+def _tokens(active, t_steps=3, d=8, seed=0):
+    """[T,B,N,D] spikes; token (b, i) fires at random where active[b][i]."""
+    active = np.asarray(active, dtype=bool)
+    rng = np.random.default_rng(seed)
+    x = rng.random((t_steps,) + active.shape + (d,)) < 0.2
+    x[0, ~x.any(axis=(0, 3)), 0] = True  # every active token fires at least once
+    return SpikeTensor((x & active[None, :, :, None]).astype(np.uint8))
+
+
+ACTIVE_CASES = {
+    "all_active": np.ones((3, 8), dtype=bool),
+    "all_silent": np.zeros((3, 8), dtype=bool),
+    "silent_beside_full": np.array([[0] * 8, [1] * 8]),
+    "single_sample": np.array([[0, 1, 1, 0, 0, 0, 1, 0]]),
+    "scattered": np.array([[0, 1, 0, 0, 0, 1, 0, 0],
+                           [1, 0, 1, 1, 0, 0, 1, 1],
+                           [0, 0, 0, 0, 0, 0, 0, 1]]),
+}
+
+
+class TestActiveTokens:
+    """ssa_forward runs only on active tokens; the dense loop is the oracle."""
+
+    @pytest.mark.parametrize("case", sorted(ACTIVE_CASES))
+    def test_equals_dense_block(self, case):
+        x = _tokens(ACTIVE_CASES[case])
+        assert (x.data.any(axis=(0, 3)) == ACTIVE_CASES[case]).all()
+        block = _active_block()
+        got_ledger, ref_ledger = SopLedger(), SopLedger()
+        got = ssa_forward(x, block, got_ledger)
+        ref = dense_ssa_reference(x, block, ref_ledger)
+        assert got.data.tobytes() == ref.data.tobytes()
+        assert got_ledger.entries == ref_ledger.entries
+        if x.nnz:  # non-vacuous: attention ran on live queries
+            assert ref_ledger.entries["stage1.block0.attn"][0] > 0
+
+    def test_all_silent_charges_structurally(self):
+        x = _tokens(np.zeros((2, 8), dtype=bool))
+        ledger = SopLedger()
+        out = ssa_forward(x, _active_block(), ledger)
+        assert out.shape == x.shape and out.nnz == 0
+        # 3 steps of full-N attention and projection, nothing spike-driven
+        assert ledger.entries["stage1.block0.attn"] == (0, 3 * 2 * 8 * 8 * 8)
+        assert ledger.entries["stage1.block0.proj"] == (0, 3 * 2 * 8 * 8 * 8)
+
+    @pytest.mark.parametrize("case", sorted(ACTIVE_CASES))
+    def test_pruned_block_equals_dense(self, case, monkeypatch):
+        x = _tokens(ACTIVE_CASES[case], seed=1)
+        b, n = x.shape[1:3]
+        anchor = np.full((b, n), -1, dtype=np.int64)
+        kept = [0, 1, 5, 7]
+        anchor[:, kept] = kept
+        block = _active_block()
+        got_ledger, ref_ledger = SopLedger(), SopLedger()
+        got = selection.pruned_ssa_batched(x, anchor, block, got_ledger)
+        monkeypatch.setattr(selection, "ssa_forward", dense_ssa_reference)
+        ref = selection.pruned_ssa_batched(x, anchor, block, ref_ledger)
+        assert got.data.tobytes() == ref.data.tobytes()
+        assert got_ledger.entries == ref_ledger.entries
+
+    @pytest.mark.parametrize("case", sorted(ACTIVE_CASES))
+    def test_merged_block_equals_dense(self, case, monkeypatch):
+        x = _tokens(ACTIVE_CASES[case], seed=2)
+        b, n = x.shape[1:3]
+        scores = DenseTensor(np.random.default_rng(5).random((b, n)).astype(np.float32))
+        anchor, weights = selection.build_merge_assignment(scores, x, 0.5)
+        block = _active_block()
+        lif = LifParams(tau=0.9, v_th=0.5)
+        got_ledger, ref_ledger = SopLedger(), SopLedger()
+        got = selection.merged_ssa(x, anchor, weights, block, lif, got_ledger)
+        monkeypatch.setattr(selection, "ssa_forward", dense_ssa_reference)
+        ref = selection.merged_ssa(x, anchor, weights, block, lif, ref_ledger)
+        assert got.data.tobytes() == ref.data.tobytes()
+        assert got_ledger.entries == ref_ledger.entries
+
+    @given(density=st.floats(0.0, 1.0), seed=st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_random_density_equals_dense(self, density, seed):
+        rng = np.random.default_rng(seed)
+        x = _tokens(rng.random((3, 8)) < density, seed=seed)
+        block = _active_block(seed=seed % 7 + 1)
+        got_ledger, ref_ledger = SopLedger(), SopLedger()
+        got = ssa_forward(x, block, got_ledger)
+        ref = dense_ssa_reference(x, block, ref_ledger)
+        assert got.data.tobytes() == ref.data.tobytes()
+        assert got_ledger.entries == ref_ledger.entries
+
+
 class TestDownsample:
     def test_shape_law(self):
         # downsample-2 stage entry shrinks N by 4 and maps channels
@@ -216,6 +341,38 @@ class TestTokenLogits:
         with pytest.raises(ShapeError):
             token_logits(SpikeTensor(np.zeros((4,), dtype=np.uint8)), head)
 
+    def test_live_rows_only(self):
+        # silent rows are exactly b (a -0.0 bias comes out as 0.0 + b does);
+        # live rows equal the ascending-index loop bit for bit
+        rng = np.random.default_rng(8)
+        head = HeadWeights(DenseTensor(rng.normal(size=(6, 3)).astype(np.float32)),
+                           DenseTensor(np.array([0.25, -0.0, -1.5], dtype=np.float32)))
+        z = (rng.random((4, 2, 5, 6)) < 0.3).astype(np.uint8)
+        z[:, :, 1] = 0
+        z[2] = 0
+        live = z.any(axis=-1)
+        assert live.any() and not live.all()
+        got = token_logits(SpikeTensor(z), head).data
+        ref = np.zeros(z.shape[:-1] + (3,), dtype=np.float64)
+        for k in range(6):
+            ref += z[..., k : k + 1].astype(np.float64) * head.w.data[k].astype(np.float64)
+        ref += head.b.data.astype(np.float64)
+        assert got.tobytes() == ref.astype(np.float32).tobytes()
+        assert (got[~live] == head.b.data).all()
+
+    def test_real_valued_rows(self):
+        rng = np.random.default_rng(9)
+        head = HeadWeights(DenseTensor(rng.normal(size=(4, 2)).astype(np.float32)),
+                           DenseTensor(rng.normal(size=2).astype(np.float32)))
+        z = rng.normal(size=(5, 4)).astype(np.float32)
+        z[3] = 0.0
+        ref = np.zeros((5, 2), dtype=np.float64)
+        for k in range(4):
+            ref += z[:, k : k + 1].astype(np.float64) * head.w.data[k].astype(np.float64)
+        ref += head.b.data.astype(np.float64)
+        got = token_logits(DenseTensor(z), head).data
+        assert got.tobytes() == ref.astype(np.float32).tobytes()
+
 
 class TestSerialization:
     def test_roundtrip_bitwise(self, tmp_path):
@@ -235,6 +392,25 @@ class TestSerialization:
                 for name in ("w_q", "w_k", "w_v", "w_proj"):
                     assert (getattr(back.blocks[s][b], name).data.tobytes()
                             == getattr(model.blocks[s][b], name).data.tobytes())
+
+    def test_legacy_embed_init_line_loads(self, tmp_path):
+        # manifests written before embed_init was removed carry embed_init=sign;
+        # every weight comes from the .spkt files, so the line is ignored
+        from spiketrim.data import SyntheticSpec
+        from spiketrim.engine import forward_full
+        from spiketrim.sweep import prepared_model
+        spec = SyntheticSpec(train_samples=32, test_samples=16)
+        model, _, test = prepared_model(ModelConfig(seed=2), spec, 2)
+        save_model(model, tmp_path / "m")
+        manifest = tmp_path / "m" / "manifest.txt"
+        lines = manifest.read_text().splitlines() + ["embed_init=sign"]
+        manifest.write_text("\n".join(sorted(lines)) + "\n")
+        back = load_model(tmp_path / "m")
+
+        def sha(m):
+            return hashlib.sha256(forward_full(m, test.frames).logits.data.tobytes()).hexdigest()
+
+        assert sha(back) == sha(model)
 
     def test_downsample_weights_roundtrip(self, tmp_path):
         cfg = ModelConfig(steps=2, in_channels=2, height=4, width=4, patch=1,

@@ -161,6 +161,22 @@ class TestSweepSop:
         assert code == 0
         assert len((out / "results.csv").read_text().strip().splitlines()) == 2
 
+    def test_sweep_l2_reaches_ridge(self, tmp_path, monkeypatch):
+        from spiketrim import sweep
+        seen = []
+
+        def recording(model, frames, labels, cfg):
+            seen.append(cfg.l2)
+            return train_head(model, frames, labels, cfg)
+
+        train_head = sweep.train_head
+        monkeypatch.setattr(sweep, "train_head", recording)
+        code, _ = run_cli(["sweep", "--out", str(tmp_path / "o"), "--strategies",
+                           "none", "--ratios", "1.0", "--seeds", "1",
+                           "--l2", "1000", *SMALL])
+        assert code == 0
+        assert seen == [1000.0]
+
     def test_sweep_config_unknown_key_exits_2(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text("strategies=none\nkeep_ratio=0.5\nseeds=1\n")

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from spiketrim import engine, neuron, selection
+from spiketrim import engine, neuron, selection, uncertainty
 from spiketrim.backbone import ModelConfig, StageConfig, init_model
 from spiketrim.data import SyntheticSpec, synth_dataset
 from spiketrim.efficiency import SopLedger
@@ -202,3 +202,19 @@ def test_forward_full_calls_traced_names(monkeypatch, kind, expected):
     model = init_model(tiny_config())
     forward_full(model, tiny_inputs(), ReductionPlan(Strategy(kind=kind, seed=1), 0.5))
     assert calls == expected
+
+
+def test_capture_computes_token_logits_once(monkeypatch):
+    # the dump's trajectories and the scores share one [T,B,N] array
+    calls = []
+    token_logits = uncertainty.token_logits
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return token_logits(*args, **kwargs)
+
+    monkeypatch.setattr(uncertainty, "token_logits", counting)
+    model = init_model(tiny_config())
+    forward_full(model, tiny_inputs(), ReductionPlan(Strategy(kind="uncert_prune"), 0.5),
+                 capture=True)
+    assert len(calls) == 1

@@ -112,7 +112,7 @@ class TestScoreTokens:
         rng = np.random.default_rng(1)
         token = (rng.random((3, 1, 1, 6)) < 0.5).astype(np.uint8)
         x = SpikeTensor(np.repeat(token, 5, axis=2))
-        scores = score_tokens(x, _random_head(rng, 6, 4))
+        scores = score_tokens(uncertainty_trajectories(x, _random_head(rng, 6, 4)))
         assert np.unique(scores.data).size == 1
 
     def test_zero_tokens_uniform(self):
@@ -120,7 +120,7 @@ class TestScoreTokens:
         x = SpikeTensor(np.zeros((3, 2, 5, 6), dtype=np.uint8))
         head = HeadWeights(DenseTensor(rng.normal(size=(6, 4)).astype(np.float32)),
                            DenseTensor(np.zeros(4, dtype=np.float32)))
-        scores = score_tokens(x, head)
+        scores = score_tokens(uncertainty_trajectories(x, head))
         assert np.unique(scores.data).size == 1
 
     def test_permutation_equivariance(self):
@@ -128,16 +128,16 @@ class TestScoreTokens:
         x = (rng.random((3, 2, 7, 6)) < 0.5).astype(np.uint8)
         head = _random_head(rng, 6, 4)
         perm = rng.permutation(7)
-        s1 = score_tokens(SpikeTensor(x), head).data
-        s2 = score_tokens(SpikeTensor(x[:, :, perm, :]), head).data
+        s1 = score_tokens(uncertainty_trajectories(SpikeTensor(x), head)).data
+        s2 = score_tokens(uncertainty_trajectories(SpikeTensor(x[:, :, perm, :]), head)).data
         assert (s2 == s1[:, perm]).all()
 
     def test_batch_isolation(self):
         rng = np.random.default_rng(4)
         x = (rng.random((3, 3, 5, 6)) < 0.5).astype(np.uint8)
         head = _random_head(rng, 6, 4)
-        full = score_tokens(SpikeTensor(x), head).data
-        solo = score_tokens(SpikeTensor(x[:, 1:2]), head).data
+        full = score_tokens(uncertainty_trajectories(SpikeTensor(x), head)).data
+        solo = score_tokens(uncertainty_trajectories(SpikeTensor(x[:, 1:2]), head)).data
         assert (full[1] == solo[0]).all()
 
     def test_modes(self):
@@ -147,21 +147,22 @@ class TestScoreTokens:
         u = uncertainty_trajectories(x, head)
         mu = u.mean(axis=0)
         sigma = np.sqrt(((u - mu) ** 2).mean(axis=0))
-        assert np.allclose(score_tokens(x, head, mode="mean_only").data, mu.astype(np.float32))
-        assert np.allclose(score_tokens(x, head, mode="std_only").data, sigma.astype(np.float32))
-        assert np.allclose(score_tokens(x, head, mode="last_step").data, u[-1].astype(np.float32))
-        assert np.allclose(score_tokens(x, head, lam=0.9).data, (mu + 0.9 * sigma).astype(np.float32))
+        assert np.allclose(score_tokens(u, mode="mean_only").data, mu.astype(np.float32))
+        assert np.allclose(score_tokens(u, mode="std_only").data, sigma.astype(np.float32))
+        assert np.allclose(score_tokens(u, mode="last_step").data, u[-1].astype(np.float32))
+        assert np.allclose(score_tokens(u, lam=0.9).data, (mu + 0.9 * sigma).astype(np.float32))
 
     def test_unknown_mode(self):
         x = SpikeTensor(np.zeros((2, 1, 2, 3), dtype=np.uint8))
         with pytest.raises(ValueError):
-            score_tokens(x, _random_head(np.random.default_rng(0), 3, 2), mode="median")
+            score_tokens(uncertainty_trajectories(x, _random_head(np.random.default_rng(0), 3, 2)),
+                         mode="median")
 
     def test_scalar_loop_oracle(self):
         rng = np.random.default_rng(6)
         x = SpikeTensor((rng.random((3, 2, 4, 5)) < 0.5).astype(np.uint8))
         head = _random_head(rng, 5, 3)
-        scores = score_tokens(x, head, lam=0.9)
+        scores = score_tokens(uncertainty_trajectories(x, head), lam=0.9)
         for b in range(2):
             for i in range(4):
                 traj = []

@@ -15,9 +15,7 @@ from .selection import (Strategy, apply_merge, build_keep_mask,
                         build_merge_assignment, merged_ssa, pruned_ssa_batched)
 from .sweep import ResultRow, SweepConfig, run_sweep, rows_csv
 from .svg import emit_svg_lines
-from .tensors import (DenseTensor, SpikeTensor, flatten_spatial, reduce_mean_std,
-                      spike_dense_matmul, topk_indices)
-from .uncertainty import (evidence_from_logits, importance_score, score_tokens,
-                          trajectory_stats, uncertainty_from_evidence)
+from .tensors import DenseTensor, SpikeTensor, topk_indices
+from .uncertainty import score_tokens, uncertainty_trajectories
 
 __version__ = "0.1.0"

@@ -351,16 +351,18 @@ def ssa_forward(x: SpikeTensor, w: SsaBlockWeights,
     xs = x.data[:, rows, idx]  # [T,B,m,D]
     states = [LifState.zeros(w.lif, (b, m, d)) for _ in range(4)]
     spikes = np.empty((t_steps, b, m, d), dtype=np.uint8)
-    from .neuron import lif_step  # local alias, keeps hot loop tight
+    # looked up in neuron at call time, not bound at import: a wrapper
+    # patched onto neuron.lif_step (a tracer, a test) must see every step
+    from .neuron import lif_step
 
     for t in range(t_steps):
         xt = xs[t].astype(np.float64)  # [B,m,D]
-        q = lif_step(states[0], xt @ wq).data.astype(np.float64)
-        k = lif_step(states[1], xt @ wk).data.astype(np.float64)
-        v = lif_step(states[2], xt @ wv).data.astype(np.float64)
+        q = lif_step(states[0], xt @ wq).astype(np.float64)
+        k = lif_step(states[1], xt @ wk).astype(np.float64)
+        v = lif_step(states[2], xt @ wv).astype(np.float64)
         a, y = attention_core(q, k, v)
         z = (y @ wp) * scale
-        spikes[t] = lif_step(states[3], z + xt).data
+        spikes[t] = lif_step(states[3], z + xt)
         if ledger is not None:
             nnz_x = int(xs[t].sum(dtype=np.int64))
             ledger.add(f"{w.label}.qkv", spike_accumulates=count_linear(nnz_x, d) * 3)

@@ -60,7 +60,8 @@ def _add_model_flags(p: argparse.ArgumentParser):
     p.add_argument("--vth", type=float, default=1.0)
     p.add_argument("--steps", type=int, default=4)
     p.add_argument("--attn-shift", type=int, default=1)
-    p.add_argument("--insert-block", default="3.1")
+    p.add_argument("--insert-block", metavar="S.B",
+                   help="insertion block (default: the model's own; 3.1 for a new model)")
     p.add_argument("--l2", type=float, default=1e-3)
 
 
@@ -79,7 +80,8 @@ def _model_config_from(args, spec: SyntheticSpec, seed: int) -> ModelConfig:
         steps=args.steps, in_channels=spec.channels,
         height=spec.grid, width=spec.grid, num_classes=spec.classes,
         lif=LifParams(tau=args.tau, v_th=args.vth), seed=seed,
-        attn_shift=args.attn_shift, insert_block=args.insert_block,
+        attn_shift=args.attn_shift,
+        insert_block=args.insert_block or ModelConfig.insert_block,
     )
 
 
@@ -181,7 +183,9 @@ def _prepare_run(args):
 
 def _cmd_run(args) -> int:
     model, test = _prepare_run(args)
-    sweep_cfg = SweepConfig(lam=args.lam, insert_block=args.insert_block,
+    # one block for the plan, the ledger prefix and both dumps
+    insert_block = args.insert_block or model.config.insert_block
+    sweep_cfg = SweepConfig(lam=args.lam, insert_block=insert_block,
                             score_mode=args.score_mode, seeds=(args.seed,))
     plan = build_plan(sweep_cfg, args.strategy, args.keep_ratio, args.seed)
     result = forward_full(model, test.frames, reduction=plan,
@@ -189,7 +193,7 @@ def _cmd_run(args) -> int:
     y = test.labels
     pred = np.argmax(result.logits.data, axis=-1)
     acc1 = float((pred == y).mean())
-    s, b = model.config.parse_insert(args.insert_block)
+    s, b = model.config.parse_insert(insert_block)
     prefix = f"stage{s + 1}.block{b}"
     sa, mac = result.ledger.totals(prefix=prefix)
     print(f"strategy={args.strategy} keep_ratio={args.keep_ratio:.6f} seed={args.seed}")
@@ -223,7 +227,8 @@ def _cmd_sweep(args) -> int:
         entries["lambda"] = str(args.lam)
     if args.score_mode:
         entries["score_mode"] = args.score_mode
-    entries.setdefault("insert_block", args.insert_block)
+    if args.insert_block:
+        entries.setdefault("insert_block", args.insert_block)
     entries.setdefault("l2", repr(args.l2))
     cfg = sweep_config_from_entries(entries)
     spec = _spec_from(args)

@@ -55,7 +55,8 @@ def count_attention(nnz_q: int, n_tokens: int, d: int,
 
 @dataclass
 class SopLedger:
-    """Per-layer (spike_accumulate, dense_mac) counters; merge is entrywise add."""
+    """Per-layer (spike_accumulate, dense_mac) counters; add accumulates
+    entrywise."""
 
     entries: dict[str, tuple[int, int]] = field(default_factory=dict)
 
@@ -64,11 +65,6 @@ class SopLedger:
         sa = _checked(sa0 + int(spike_accumulates), f"ledger[{label}].sa")
         mac = _checked(mac0 + int(dense_macs), f"ledger[{label}].mac")
         self.entries[label] = (sa, mac)
-
-    def merge(self, other: "SopLedger") -> "SopLedger":
-        for label, (sa, mac) in other.entries.items():
-            self.add(label, sa, mac)
-        return self
 
     def totals(self, prefix: str = "") -> tuple[int, int]:
         """(spike_accumulates, dense_macs) summed over labels with the prefix."""

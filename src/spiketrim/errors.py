@@ -14,7 +14,7 @@ class ConfigError(ValueError):
 
 
 class ContractError(ValueError):
-    """A value-level precondition was violated (e.g. negative evidence)."""
+    """A value-level precondition was violated (e.g. a malformed manifest field)."""
 
 
 class CountOverflowError(OverflowError):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ShapeError
-from .tensors import DenseTensor, SpikeTensor
+from .tensors import SpikeTensor, as_array
 
 
 @dataclass(frozen=True)
@@ -40,24 +40,27 @@ class LifState:
         return cls(params=params, membrane=np.zeros(shape, dtype=np.float64))
 
 
-def lif_step(state: LifState, current) -> SpikeTensor:
-    """Advance one timestep in place and return the emitted spikes."""
-    cur = current.data if isinstance(current, DenseTensor) else np.asarray(current)
-    if cur.shape != state.membrane.shape:
-        raise ShapeError(f"current shape {cur.shape} != membrane {state.membrane.shape}")
-    m = state.params.tau * state.membrane + cur.astype(np.float64)
+def lif_step(state: LifState, current: np.ndarray) -> np.ndarray:
+    """Advance one timestep in place; return the uint8 spikes (0 or 1).
+
+    A per-timestep kernel: it takes and returns plain ndarrays, so no tensor
+    wrapper is built or validated per step.
+    """
+    if current.shape != state.membrane.shape:
+        raise ShapeError(f"current shape {current.shape} != membrane {state.membrane.shape}")
+    m = state.params.tau * state.membrane + current
     spikes = m >= state.params.v_th
     state.membrane = m * (1.0 - spikes)
-    return SpikeTensor(spikes.astype(np.uint8))
+    return spikes.astype(np.uint8)
 
 
 def lif_sequence(params: LifParams, currents) -> SpikeTensor:
     """Run lif_step over the leading time axis, starting from a zero membrane."""
-    cur = currents.data if isinstance(currents, DenseTensor) else np.asarray(currents)
+    cur = as_array(currents)
     if cur.ndim < 2 or cur.shape[0] < 1:
         raise ValueError("lif_sequence needs a [T, ...] array with T >= 1")
     state = LifState.zeros(params, cur.shape[1:])
     out = np.zeros(cur.shape, dtype=np.uint8)
     for t in range(cur.shape[0]):
-        out[t] = lif_step(state, cur[t]).data
+        out[t] = lif_step(state, cur[t])
     return SpikeTensor(out)

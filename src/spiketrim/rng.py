@@ -86,13 +86,14 @@ class Stream:
 
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates permutation of range(n)."""
-        out = np.arange(n, dtype=np.int64)
-        draws = self._raw(max(n - 1, 0))
+        out = list(range(n))
+        # high 32 bits of each draw as Python ints: d * (i + 1) < 2**64 for
+        # n <= 2**32, so this is the uint64 multiply-shift without wrapping
+        draws = (self._raw(max(n - 1, 0)) >> np.uint64(32)).tolist()
         for i in range(n - 1, 0, -1):
-            with np.errstate(over="ignore"):
-                j = int((draws[n - 1 - i] >> np.uint64(32)) * np.uint64(i + 1) >> np.uint64(32))
+            j = (draws[n - 1 - i] * (i + 1)) >> 32
             out[i], out[j] = out[j], out[i]
-        return out
+        return np.array(out, dtype=np.int64)
 
     def sample_without_replacement(self, n: int, k: int) -> np.ndarray:
         """k distinct indices from range(n), returned sorted ascending."""

@@ -11,7 +11,8 @@ import math
 import numpy as np
 
 from .backbone import (HeadWeights, ModelConfig, SsaBlockWeights, StageConfig,
-                       attention_core, init_model, ssa_forward, token_logits)
+                       attention_core, extract_patches, init_model, patch_embed,
+                       ssa_forward, token_logits)
 from .data import SyntheticSpec, synth_dataset
 from .efficiency import (EnergyModel, SopLedger, count_attention, count_linear,
                          energy_mj, reduction_percent)
@@ -20,11 +21,8 @@ from .head import ridge_solve
 from .neuron import LifParams, LifState, lif_sequence, lif_step
 from .selection import (Strategy, apply_merge, build_keep_mask,
                         build_merge_assignment, pruned_ssa_batched)
-from .tensors import (DenseTensor, SpikeTensor, flatten_spatial, reduce_mean_std,
-                      spike_dense_matmul, topk_indices)
-from .uncertainty import (evidence_from_logits, importance_score, score_tokens,
-                          trajectory_stats, uncertainty_from_evidence,
-                          uncertainty_trajectories)
+from .tensors import DenseTensor, SpikeTensor, topk_indices
+from .uncertainty import score_tokens, uncertainty_trajectories
 
 TOL = 1e-6
 
@@ -33,41 +31,49 @@ def _close(a, b, tol=TOL):
     assert abs(a - b) <= tol, f"{a!r} != {b!r} (tol {tol})"
 
 
+def _silent_token_u(bias) -> float:
+    """U of one silent token at one step: its logits are exactly the bias."""
+    c = len(bias)
+    head = HeadWeights(DenseTensor(np.ones((1, c), dtype=np.float32)),
+                       DenseTensor(np.array(bias, dtype=np.float32)))
+    token = SpikeTensor(np.zeros((1, 1, 1, 1), dtype=np.uint8))
+    return float(uncertainty_trajectories(token, head)[0, 0, 0])
+
+
+def _scores(traj, lam=0.9, mode="full") -> float:
+    """score_tokens of one token whose [T] trajectory is traj."""
+    u = np.array(traj, dtype=np.float64).reshape(-1, 1, 1)
+    return float(score_tokens(u, lam, mode).data[0, 0])
+
+
 def check_softplus_ln2():
-    e = evidence_from_logits(np.array([0.0]))
-    _close(e.data[0].item(), 0.6931472)
-    lo = evidence_from_logits(np.array([-40.0]))
-    assert 0.0 <= lo.data[0].item() < 1e-17
-    hi = evidence_from_logits(np.array([40.0]))
-    _close(hi.data[0].item(), 40.0)
+    # one class: U = 1 / (1 + e), so the evidence is 1/U - 1
+    _close(1.0 / _silent_token_u([0.0]) - 1.0, 0.6931472)
+    lo = 1.0 / _silent_token_u([-40.0]) - 1.0
+    assert 0.0 <= lo < 1e-17
+    _close(1.0 / _silent_token_u([40.0]) - 1.0, 40.0)
 
 
 def check_uncertainty_zero_logits():
-    e = evidence_from_logits(np.zeros(10))
-    u = uncertainty_from_evidence(e)
-    _close(u.data.item(), 0.5906161)
-    u_zero = uncertainty_from_evidence(np.zeros(10))
-    _close(u_zero.data.item(), 1.0)
-    e2 = evidence_from_logits(np.array([40.0, -40.0]))
-    _close(uncertainty_from_evidence(e2).data.item(), 2.0 / 42.0, tol=1e-4)
+    _close(_silent_token_u([0.0] * 10), 0.5906161)
+    # softplus(-1e4) is exactly 0: zero evidence gives the maximum U = 1
+    _close(_silent_token_u([-1e4] * 10), 1.0)
+    _close(_silent_token_u([40.0, -40.0]), 2.0 / 42.0, tol=1e-4)
 
 
 def check_trajectory_stats():
-    st = trajectory_stats([0.2, 0.4, 0.6, 0.8])
-    _close(st.mu, 0.5)
-    _close(st.sigma, 0.2236068)
-    flat = trajectory_stats([0.3, 0.3, 0.3])
-    _close(flat.mu, 0.3)
-    _close(flat.sigma, 0.0)
-    single = trajectory_stats([0.42])
-    _close(single.mu, 0.42)
-    _close(single.sigma, 0.0)
+    # population mean/std over the time axis (divisor T)
+    _close(_scores([0.2, 0.4, 0.6, 0.8], mode="mean_only"), 0.5)
+    _close(_scores([0.2, 0.4, 0.6, 0.8], mode="std_only"), 0.2236068)
+    _close(_scores([0.3, 0.3, 0.3], mode="mean_only"), 0.3)
+    _close(_scores([0.3, 0.3, 0.3], mode="std_only"), 0.0)
+    _close(_scores([0.42], mode="mean_only"), 0.42)
+    _close(_scores([0.42], mode="std_only"), 0.0)
 
 
 def check_importance_score():
-    st = trajectory_stats([0.2, 0.4, 0.6, 0.8])
-    _close(importance_score(st, 0.9), 0.7012461)
-    _close(importance_score(st, 0.0), st.mu)
+    _close(_scores([0.2, 0.4, 0.6, 0.8], lam=0.9), 0.7012461)
+    _close(_scores([0.2, 0.4, 0.6, 0.8], lam=0.0), 0.5)
 
 
 def check_lif_train():
@@ -82,7 +88,7 @@ def check_lif_leak():
     state = LifState(params=params, membrane=np.array([0.8]))
     for _ in range(2):
         spikes = lif_step(state, np.zeros(1))
-        assert spikes.nnz == 0
+        assert not spikes.any()
     _close(float(state.membrane[0]), 0.2)
 
 
@@ -90,7 +96,7 @@ def check_lif_boundary():
     params = LifParams(tau=0.5, v_th=1.0)
     state = LifState.zeros(params, (3,))
     spikes = lif_step(state, np.full(3, 1.0))
-    assert spikes.data.tolist() == [1, 1, 1]
+    assert spikes.tolist() == [1, 1, 1]
     assert (state.membrane == 0.0).all()
 
 
@@ -103,9 +109,9 @@ def check_topk():
 def check_flatten_index():
     x = np.zeros((4, 1, 3, 2, 3), dtype=np.uint8)
     x[0, 0, 2, 1, 0] = 1
-    flat = flatten_spatial(SpikeTensor(x))
+    flat = extract_patches(SpikeTensor(x), 1)  # patch 1: tokens in h*W + w order
     assert flat.shape == (4, 1, 6, 3)
-    assert flat.data[0, 0, 3, 2] == 1 and flat.nnz == 1
+    assert flat[0, 0, 3, 2] == 1 and flat.sum() == 1
 
 
 def check_gather_scatter_roundtrip():
@@ -120,19 +126,17 @@ def check_gather_scatter_roundtrip():
 
 
 def check_spike_matmul_ops():
-    a = SpikeTensor(np.array([[1, 0, 1, 1]], dtype=np.uint8))
+    # the pinned ascending loop gives the exact matmul values, and a
+    # spike-driven linear charges nnz(input) * fan_out
+    a = np.array([[1, 0, 1, 1]], dtype=np.uint8)
     w = DenseTensor(np.arange(32, dtype=np.float32).reshape(4, 8) / 16)
-    ledger = SopLedger()
-    out = spike_dense_matmul(a, w, ledger, label="x")
-    assert ledger.entries["x"] == (24, 0)
-    expect = a.data.astype(np.float64) @ w.data.astype(np.float64)
+    out = token_logits(SpikeTensor(a), HeadWeights(w, DenseTensor(np.zeros(8, np.float32))))
+    expect = a.astype(np.float64) @ w.data.astype(np.float64)
     assert (out.data == expect.astype(np.float32)).all()
-
-
-def check_reduce_mean_std():
-    mean, std = reduce_mean_std([0.2, 0.4, 0.6, 0.8])
-    _close(mean, 0.5)
-    _close(std, 0.2236068)
+    ledger = SopLedger()
+    frames = SpikeTensor(a.reshape(1, 1, 4, 1, 1))  # 4 channels, one pixel
+    patch_embed(frames, 1, DenseTensor(w.data[None]), LifParams(), ledger, label="x")
+    assert ledger.entries["x"] == (24, 0)
 
 
 def check_attention_core():
@@ -236,10 +240,10 @@ def _dense_ssa(x: SpikeTensor, w: SsaBlockWeights, ledger: SopLedger) -> np.ndar
     out = np.zeros(x.shape, dtype=np.uint8)
     for t in range(t_steps):
         xt = x.data[t].astype(np.float64)
-        q, k, v = (lif_step(st, xt @ wm).data.astype(np.float64)
+        q, k, v = (lif_step(st, xt @ wm).astype(np.float64)
                    for st, wm in zip(states[:3], ws[:3]))
         _, y = attention_core(q, k, v)
-        out[t] = lif_step(states[3], (y @ ws[3]) * 2.0 ** (-w.shift) + xt).data
+        out[t] = lif_step(states[3], (y @ ws[3]) * 2.0 ** (-w.shift) + xt)
         nnz_x = x.data[t].sum(dtype=np.int64)
         ledger.add(f"{w.label}.qkv", spike_accumulates=count_linear(nnz_x, d) * 3)
         sa, macs = count_attention(q.sum(dtype=np.int64), n, d)
@@ -288,7 +292,6 @@ CHECKS = [
     ("flatten spatial index map", check_flatten_index),
     ("prune gather/scatter round-trip", check_gather_scatter_roundtrip),
     ("spike matmul ops and values", check_spike_matmul_ops),
-    ("reduce mean/std", check_reduce_mean_std),
     ("attention core hand matmul", check_attention_core),
     ("token logits row sums", check_token_logits_rows),
     ("keep-mask tie cases", check_low_uncert_keep),

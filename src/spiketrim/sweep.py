@@ -107,10 +107,8 @@ def sweep_config_from_entries(entries: dict[str, str]) -> SweepConfig:
     return SweepConfig(**kwargs)
 
 
-def build_plan(cfg: SweepConfig, strategy_name: str, ratio: float, seed: int) -> Optional[ReductionPlan]:
+def build_plan(cfg: SweepConfig, strategy_name: str, ratio: float, seed: int) -> ReductionPlan:
     kind = STRATEGY_KINDS_BY_NAME[strategy_name]
-    if kind == "none":
-        return None
     return ReductionPlan(
         strategy=Strategy(kind=kind, lam=cfg.lam, seed=seed, score_mode=cfg.score_mode),
         keep_ratio=ratio,

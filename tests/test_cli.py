@@ -112,6 +112,34 @@ class TestGenTrainRun:
         assert code == 2
         assert err.count("\n") == 1 and "grid" in err
 
+    @pytest.mark.parametrize("strategy", ["none", "uncert-prune"])
+    def test_model_insert_block_used_throughout(self, tmp_path, strategy):
+        # the plan, the ledger prefix and both dumps use one block: the
+        # --insert-block flag when given, otherwise the model's own
+        data = tmp_path / "data"
+        assert run_cli(["gen", "--out", str(data), "--seed", "3", *SMALL])[0] == 0
+        for block in ("2.0", "3.1"):
+            assert run_cli(["train-head", "--data", str(data), "--out",
+                            str(tmp_path / block), "--seed", "3",
+                            "--insert-block", block])[0] == 0
+
+        def run(name, model, *flags):
+            u, m = tmp_path / f"u_{name}.csv", tmp_path / f"m_{name}.csv"
+            code, out = run_cli(["run", "--data", str(data), "--model",
+                                 str(tmp_path / model), "--strategy", strategy,
+                                 "--keep-ratio", "0.5", "--dump-uncertainty", str(u),
+                                 "--dump-mask", str(m), *flags])
+            assert code == 0
+            lines = [ln for ln in out.splitlines() if not ln.startswith("wrote")]
+            return lines, u.read_bytes(), m.read_bytes()
+
+        own = run("own", "2.0")
+        assert own == run("flag", "2.0", "--insert-block", "2.0")
+        own31 = run("own31", "3.1")
+        assert run("other", "2.0", "--insert-block", "3.1") == own31
+        # the two blocks are told apart by their ledger prefix
+        assert own[0] != own31[0]
+
     def test_merge_dump_mask_names_anchor(self, tmp_path):
         mask = tmp_path / "m.csv"
         code, _ = run_cli(["run", "--seed", "2", "--strategy", "uncert-merge",

@@ -17,8 +17,8 @@ N_CASES = 1000
 
 
 def test_spike_tensor_binarity_closure():
-    """Every constructed SpikeTensor holds {0,1} only; non-binary payloads and
-    LIF outputs are checked on construction."""
+    """Every constructed SpikeTensor holds {0,1} only, non-binary payloads are
+    rejected on construction, and LIF steps emit only 0 or 1."""
     rng = np.random.default_rng(101)
     for case in range(N_CASES):
         shape = tuple(rng.integers(1, 5, size=rng.integers(1, 5)))
@@ -31,7 +31,7 @@ def test_spike_tensor_binarity_closure():
         if case % 5 == 0:
             state = LifState.zeros(LifParams(tau=0.5 + 0.4 * rng.random()), shape)
             spikes = lif_step(state, rng.normal(size=shape) * 2)
-            assert set(np.unique(spikes.data)) <= {0, 1}
+            assert set(np.unique(spikes)) <= {0, 1}
 
 
 def test_gather_scatter_roundtrip():
@@ -80,24 +80,21 @@ def test_merge_convexity_and_weight_normalization():
 
 
 def test_ledger_merge_commutativity():
-    """Merging per-context ledgers in any order yields equal totals."""
+    """Adding per-context counts into one ledger in any order yields equal
+    entries."""
     rng = np.random.default_rng(404)
     labels = ["embed", "s1.qkv", "s1.attn", "s2.proj"]
     for _ in range(N_CASES):
-        parts = []
-        for _ in range(int(rng.integers(2, 5))):
-            led = SopLedger()
-            for _ in range(int(rng.integers(1, 4))):
-                led.add(labels[rng.integers(len(labels))],
-                        int(rng.integers(0, 1000)), int(rng.integers(0, 1000)))
-            parts.append(led)
+        parts = [(labels[rng.integers(len(labels))], int(rng.integers(0, 1000)),
+                  int(rng.integers(0, 1000)))
+                 for _ in range(int(rng.integers(2, 12)))]
         order = rng.permutation(len(parts))
         forward = SopLedger()
-        for led in parts:
-            forward.merge(led)
+        for label, sa, mac in parts:
+            forward.add(label, sa, mac)
         shuffled = SopLedger()
         for i in order:
-            shuffled.merge(parts[i])
+            shuffled.add(*parts[i])
         assert forward.entries == shuffled.entries
 
 
@@ -113,7 +110,7 @@ def test_lif_leak_law():
         state = LifState(params=LifParams(tau=tau, v_th=v_th),
                          membrane=init.copy())
         for _ in range(steps):
-            assert lif_step(state, np.zeros_like(init)).nnz == 0
+            assert not lif_step(state, np.zeros_like(init)).any()
         expect = (tau ** steps) * init
         scale = np.maximum(np.abs(expect), 1e-12)
         assert (np.abs(state.membrane - expect) / scale).max() < 1e-6

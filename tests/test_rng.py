@@ -73,3 +73,26 @@ def test_label_key_stable():
     # frozen value: FNV-1a must never drift between runs or platforms
     assert label_key("embed") == label_key("embed")
     assert label_key("a") != label_key("b")
+
+
+def _permutation_uint64(s: Stream, n: int) -> np.ndarray:
+    """Fisher-Yates with numpy uint64 scalar math on every swap: the
+    reference the Python-int loop of Stream.permutation must equal."""
+    out = np.arange(n, dtype=np.int64)
+    draws = s._raw(max(n - 1, 0))
+    for i in range(n - 1, 0, -1):
+        with np.errstate(over="ignore"):
+            j = int((draws[n - 1 - i] >> np.uint64(32)) * np.uint64(i + 1) >> np.uint64(32))
+        out[i], out[j] = out[j], out[i]
+    return out
+
+
+def test_permutation_equals_uint64_reference():
+    for seed in range(6):
+        for k in range(20):
+            for n in (0, 1, 2, 3, 16, 64, 257):
+                label = f"random_prune/{k}"
+                got = stream(seed, label).permutation(n)
+                expect = _permutation_uint64(stream(seed, label), n)
+                assert got.dtype == expect.dtype == np.int64
+                assert got.tolist() == expect.tolist(), (seed, label, n)

@@ -4,14 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spiketrim import selection
-from spiketrim.backbone import SsaBlockWeights
+from spiketrim.backbone import (HeadWeights, SsaBlockWeights, extract_patches,
+                                patch_embed, token_logits)
 from spiketrim.efficiency import SopLedger
 from spiketrim.errors import ShapeError
 from spiketrim.neuron import LifParams
 from spiketrim.selection import pruned_ssa_batched
-from spiketrim.tensors import (DenseTensor, SpikeTensor, check_shape,
-                               flatten_spatial, reduce_mean_std,
-                               spike_dense_matmul, topk_indices)
+from spiketrim.tensors import DenseTensor, SpikeTensor, check_shape, topk_indices
+from spiketrim.uncertainty import score_tokens
 
 
 class TestShapes:
@@ -37,7 +37,7 @@ class TestTensorTypes:
     def test_spike_casts_and_counts(self):
         t = SpikeTensor(np.array([[1, 0], [1, 1]]))
         assert t.data.dtype == np.uint8
-        assert t.nnz == 3
+        assert t.data.sum() == 3
 
     def test_dense_rejects_nan(self):
         with pytest.raises(ShapeError):
@@ -49,25 +49,27 @@ class TestTensorTypes:
 
 
 class TestFlattenSpatial:
+    """Flattening the spatial grid into tokens is extract_patches with patch 1."""
+
     def test_shape_arithmetic(self):
         x = SpikeTensor(np.zeros((4, 1, 8, 2, 3), dtype=np.uint8))
-        assert flatten_spatial(x).shape == (4, 1, 6, 8)
+        assert extract_patches(x, 1).shape == (4, 1, 6, 8)
 
     def test_zeros_stay_zero(self):
         x = SpikeTensor(np.zeros((2, 1, 3, 2, 2), dtype=np.uint8))
-        assert flatten_spatial(x).nnz == 0
+        assert not extract_patches(x, 1).any()
 
     def test_index_formula(self):
         # nonzero at (t=0,b=0,c=2,h=1,w=0) with W=3 -> token 1*3+0=3, channel 2
         x = np.zeros((4, 1, 3, 2, 3), dtype=np.uint8)
         x[0, 0, 2, 1, 0] = 1
-        flat = flatten_spatial(SpikeTensor(x))
-        assert flat.data[0, 0, 3, 2] == 1
-        assert flat.nnz == 1
+        flat = extract_patches(SpikeTensor(x), 1)
+        assert flat[0, 0, 3, 2] == 1
+        assert flat.sum() == 1
 
     def test_wrong_rank(self):
         with pytest.raises(ShapeError):
-            flatten_spatial(SpikeTensor(np.zeros((2, 2, 2), dtype=np.uint8)))
+            extract_patches(SpikeTensor(np.zeros((2, 2, 2), dtype=np.uint8)), 1)
 
 
 def _identity_block(d):
@@ -184,65 +186,85 @@ class TestTopK:
             assert all(scores[j] <= worst for j in range(len(scores)) if j not in sel)
 
 
+def _head(w, b=None):
+    w = np.asarray(w, dtype=np.float32)
+    b = np.zeros(w.shape[1], dtype=np.float32) if b is None else b
+    return HeadWeights(DenseTensor(w), DenseTensor(np.asarray(b, dtype=np.float32)))
+
+
 class TestSpikeDenseMatmul:
+    """The pinned spike-by-dense matmul is token_logits' ascending-index
+    loop; a spike-driven linear layer (patch_embed on spike frames) charges
+    nnz(input) * fan_out spike-accumulates."""
+
     def test_zero_input(self):
-        a = SpikeTensor(np.zeros((3, 4), dtype=np.uint8))
-        w = DenseTensor(np.ones((4, 5), dtype=np.float32))
-        ledger = SopLedger()
-        out = spike_dense_matmul(a, w, ledger)
+        out = token_logits(SpikeTensor(np.zeros((3, 4), dtype=np.uint8)),
+                           _head(np.ones((4, 5))))
         assert (out.data == 0).all()
+        ledger = SopLedger()
+        frames = SpikeTensor(np.zeros((1, 1, 4, 1, 1), dtype=np.uint8))
+        patch_embed(frames, 1, DenseTensor(np.ones((1, 4, 5), dtype=np.float32)),
+                    LifParams(), ledger)
         assert ledger.totals() == (0, 0)
 
     def test_identity(self):
-        a = SpikeTensor(np.eye(2, dtype=np.uint8))
-        w = DenseTensor(np.array([[1.5, -2.0], [0.25, 4.0]], dtype=np.float32))
-        ledger = SopLedger()
-        out = spike_dense_matmul(a, w, ledger)
-        assert (out.data == w.data).all()
-        assert ledger.totals()[0] == 2 * 2
+        w = np.array([[1.5, -2.0], [0.25, 4.0]], dtype=np.float32)
+        out = token_logits(SpikeTensor(np.eye(2, dtype=np.uint8)), _head(w))
+        assert (out.data == w).all()
 
     def test_counting_rule(self):
-        a = SpikeTensor(np.array([[1, 0, 1, 1]], dtype=np.uint8))
-        w = DenseTensor(np.zeros((4, 8), dtype=np.float32))
+        frames = SpikeTensor(np.array([1, 0, 1, 1], dtype=np.uint8).reshape(1, 1, 4, 1, 1))
         ledger = SopLedger()
-        spike_dense_matmul(a, w, ledger)
-        assert ledger.totals()[0] == 24
+        patch_embed(frames, 1, DenseTensor(np.zeros((1, 4, 8), dtype=np.float32)),
+                    LifParams(), ledger, label="x")
+        assert ledger.totals() == (24, 0)
 
     def test_matches_ascending_scalar_oracle(self):
         rng = np.random.default_rng(5)
         a = SpikeTensor((rng.random((4, 6)) < 0.5).astype(np.uint8))
-        w = DenseTensor(rng.normal(size=(6, 3)).astype(np.float32))
-        out = spike_dense_matmul(a, w)
+        head = _head(rng.normal(size=(6, 3)), rng.normal(size=3))
+        out = token_logits(a, head)
         for m in range(4):
             for p in range(3):
                 acc = np.float64(0.0)
                 for k in range(6):  # same ascending-k order as the contract
-                    acc += np.float64(a.data[m, k]) * np.float64(w.data[k, p])
+                    acc += np.float64(a.data[m, k]) * np.float64(head.w.data[k, p])
+                acc += np.float64(head.b.data[p])
                 assert out.data[m, p] == np.float32(acc)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            spike_dense_matmul(SpikeTensor(np.zeros((2, 3), dtype=np.uint8)),
-                               DenseTensor(np.zeros((4, 2), dtype=np.float32)))
+            token_logits(SpikeTensor(np.zeros((2, 3), dtype=np.uint8)),
+                         _head(np.zeros((4, 2))))
+
+
+def _mean_std(traj):
+    """score_tokens' population mean and standard deviation of one [T] trajectory."""
+    u = np.array(traj, dtype=np.float64).reshape(-1, 1, 1)
+    return (float(score_tokens(u, mode="mean_only").data[0, 0]),
+            float(score_tokens(u, mode="std_only").data[0, 0]))
 
 
 class TestReduceMeanStd:
+    """The temporal mean/std reduction is score_tokens' mean_only/std_only."""
+
     def test_hand_example(self):
-        mean, std = reduce_mean_std([0.2, 0.4, 0.6, 0.8])
+        mean, std = _mean_std([0.2, 0.4, 0.6, 0.8])
         assert mean == pytest.approx(0.5, abs=1e-9)
         assert std == pytest.approx(0.2236068, abs=1e-6)
 
     def test_constant(self):
-        assert reduce_mean_std([0.3, 0.3, 0.3]) == (0.3, 0.0)
+        assert _mean_std([0.3, 0.3, 0.3]) == (float(np.float32(0.3)), 0.0)
 
     def test_single(self):
-        assert reduce_mean_std([0.7]) == (0.7, 0.0)
+        assert _mean_std([0.7]) == (float(np.float32(0.7)), 0.0)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_empty(self):
         with pytest.raises(ValueError):
-            reduce_mean_std([])
+            _mean_std([])
 
     def test_population_divisor(self):
         # divisor T, not T-1
-        _, std = reduce_mean_std([0.0, 1.0])
+        _, std = _mean_std([0.0, 1.0])
         assert std == pytest.approx(0.5, abs=1e-12)

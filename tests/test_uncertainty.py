@@ -6,100 +6,114 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spiketrim.backbone import HeadWeights
-from spiketrim.errors import ContractError
 from spiketrim.tensors import DenseTensor, SpikeTensor
-from spiketrim.uncertainty import (evidence_from_logits, importance_score,
-                                   score_tokens, trajectory_csv,
-                                   trajectory_stats, uncertainty_from_evidence,
+from spiketrim.uncertainty import (score_tokens, trajectory_csv,
                                    uncertainty_trajectories)
+
+
+def silent_u(bias) -> np.ndarray:
+    """U of a silent token, one per row of bias [R, C]: the token has no
+    nonzero feature, so its logits are exactly the head bias."""
+    bias = np.atleast_2d(np.asarray(bias, dtype=np.float32))
+    r, c = bias.shape
+    out = np.empty(r)
+    token = SpikeTensor(np.zeros((1, 1, 1, 2), dtype=np.uint8))
+    for i in range(r):
+        head = HeadWeights(DenseTensor(np.ones((2, c), dtype=np.float32)),
+                           DenseTensor(bias[i]))
+        out[i] = uncertainty_trajectories(token, head)[0, 0, 0]
+    return out
+
+
+def evidence(logit) -> float:
+    """Softplus evidence of one logit, read back from a one-class U = 1/(1+e)."""
+    return float(1.0 / silent_u([[logit]])[0] - 1.0)
+
+
+def score(traj, lam=0.9, mode="full") -> float:
+    """score_tokens of one token whose [T] trajectory is traj."""
+    u = np.array(traj, dtype=np.float64).reshape(-1, 1, 1)
+    return float(score_tokens(u, lam, mode).data[0, 0])
 
 
 class TestEvidence:
     def test_ln2_at_zero(self):
-        assert evidence_from_logits(np.array([0.0])).data.item() == pytest.approx(
-            0.6931472, abs=1e-6)
+        assert evidence(0.0) == pytest.approx(0.6931472, abs=1e-6)
 
     def test_limits(self):
-        lo = evidence_from_logits(np.array([-40.0])).data.item()
-        hi = evidence_from_logits(np.array([40.0])).data.item()
+        lo, hi = evidence(-40.0), evidence(40.0)
         assert 0.0 <= lo < 1e-17
         assert hi == pytest.approx(40.0, abs=1e-6)
 
     def test_overflow_safe_extremes(self):
-        out = evidence_from_logits(np.array([-1e4, 1e4], dtype=np.float32))
-        assert np.isfinite(out.data).all()
-        assert out.data[1].item() == pytest.approx(1e4, rel=1e-6)
+        u = silent_u([[-1e4], [1e4]])
+        assert np.isfinite(u).all()
+        assert u[0] == 1.0
+        assert 1.0 / u[1] - 1.0 == pytest.approx(1e4, rel=1e-6)
 
     @given(st.floats(-100, 100))
     @settings(max_examples=200, deadline=None)
     def test_always_positive_scalar(self, logit):
-        e = evidence_from_logits(np.array([logit], dtype=np.float64)).data.item()
-        assert e >= 0.0
+        # e >= 0 exactly when the one-class U = 1 / (1 + e) is at most 1
+        assert 0.0 < silent_u([[logit]])[0] <= 1.0
 
 
 class TestUncertainty:
     def test_zero_logits_c10(self):
-        e = evidence_from_logits(np.zeros(10))
-        assert uncertainty_from_evidence(e).data.item() == pytest.approx(
-            0.5906161, abs=1e-6)
+        assert silent_u(np.zeros(10))[0] == pytest.approx(0.5906161, abs=1e-6)
 
     def test_zero_evidence_is_max(self):
-        assert uncertainty_from_evidence(np.zeros(4)).data.item() == 1.0
+        # softplus(-1e4) is exactly 0
+        assert silent_u(np.full(4, -1e4))[0] == 1.0
 
     def test_concentrated_evidence(self):
-        e = evidence_from_logits(np.array([40.0, -40.0]))
-        assert uncertainty_from_evidence(e).data.item() == pytest.approx(
-            2.0 / 42.0, abs=1e-4)
-
-    def test_negative_evidence_rejected(self):
-        with pytest.raises(ContractError):
-            uncertainty_from_evidence(np.array([-0.1, 0.2]))
+        assert silent_u([40.0, -40.0])[0] == pytest.approx(2.0 / 42.0, abs=1e-4)
 
     def test_range_and_strict_decrease(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
-            e = rng.uniform(0, 5, size=6)
-            u = uncertainty_from_evidence(e).data.item()
-            assert 0.0 < u <= 1.0
+            logits = rng.uniform(-3, 3, size=6)
             j = rng.integers(6)
-            e2 = e.copy()
-            e2[j] += rng.uniform(0.01, 1.0)
-            assert uncertainty_from_evidence(e2).data.item() < u
+            raised = logits.copy()
+            raised[j] += rng.uniform(0.01, 1.0)
+            u, u2 = silent_u(np.stack([logits, raised]))
+            assert 0.0 < u <= 1.0
+            assert u2 < u
 
 
 class TestStats:
     def test_hand_values(self):
-        st_ = trajectory_stats([0.2, 0.4, 0.6, 0.8])
-        assert st_.mu == pytest.approx(0.5)
-        assert st_.sigma == pytest.approx(0.2236068, abs=1e-6)
+        traj = [0.2, 0.4, 0.6, 0.8]
+        assert score(traj, mode="mean_only") == pytest.approx(0.5)
+        assert score(traj, mode="std_only") == pytest.approx(0.2236068, abs=1e-6)
 
     def test_constant_and_single(self):
-        assert trajectory_stats([0.3] * 5) == trajectory_stats([0.3] * 5)
-        assert trajectory_stats([0.42]).sigma == 0.0
+        assert score([0.3] * 5, mode="std_only") == score([0.3] * 5, mode="std_only")
+        assert score([0.42], mode="std_only") == 0.0
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_empty_rejected(self):
+        # no steps, no mean: the NaN score is refused by the score tensor
         with pytest.raises(ValueError):
-            trajectory_stats([])
+            score_tokens(np.zeros((0, 1, 1)))
 
 
 class TestScore:
     def test_lambda_derived_value(self):
-        st_ = trajectory_stats([0.2, 0.4, 0.6, 0.8])
-        assert importance_score(st_, 0.9) == pytest.approx(0.7012461, abs=1e-6)
+        assert score([0.2, 0.4, 0.6, 0.8], lam=0.9) == pytest.approx(0.7012461, abs=1e-6)
 
     def test_lambda_zero_is_mean(self):
-        st_ = trajectory_stats([0.1, 0.9])
-        assert importance_score(st_, 0.0) == st_.mu
+        assert score([0.1, 0.9], lam=0.0) == score([0.1, 0.9], mode="mean_only")
 
     def test_negative_lambda(self):
         with pytest.raises(ValueError):
-            importance_score(trajectory_stats([0.5]), -0.1)
+            score([0.5], lam=-0.1)
 
     def test_monotone_in_mu_and_sigma(self):
-        from spiketrim.uncertainty import TokenStats
-        base = importance_score(TokenStats(0.5, 0.1), 0.9)
-        assert importance_score(TokenStats(0.6, 0.1), 0.9) > base
-        assert importance_score(TokenStats(0.5, 0.2), 0.9) > base
+        # (mu, sigma) = (0.5, 0.1), (0.6, 0.1), (0.5, 0.2)
+        base = score([0.4, 0.6])
+        assert score([0.5, 0.7]) > base
+        assert score([0.3, 0.7]) > base
 
 
 def _random_head(rng, d, c):

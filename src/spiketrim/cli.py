@@ -22,7 +22,7 @@ import numpy as np
 from .backbone import ModelConfig, init_model, load_model, save_model
 from .data import (SyntheticSpec, bayes_accuracy, load_dataset, save_dataset,
                    synth_dataset)
-from .head import RidgeConfig, eval_metrics, train_head
+from .head import RidgeConfig, accuracies, eval_metrics, train_head
 from .neuron import LifParams
 from .selection import mask_csv
 from .sweep import (STRATEGY_KINDS_BY_NAME, SweepConfig, build_plan,
@@ -190,9 +190,7 @@ def _cmd_run(args) -> int:
     plan = build_plan(sweep_cfg, args.strategy, args.keep_ratio, args.seed)
     result = forward_full(model, test.frames, reduction=plan,
                           capture=bool(args.dump_uncertainty or args.dump_mask))
-    y = test.labels
-    pred = np.argmax(result.logits.data, axis=-1)
-    acc1 = float((pred == y).mean())
+    acc1, _ = accuracies(result.logits, test.labels)
     s, b = model.config.parse_insert(insert_block)
     prefix = f"stage{s + 1}.block{b}"
     sa, mac = result.ledger.totals(prefix=prefix)

@@ -1,26 +1,38 @@
-"""End-to-end forward pass with optional token reduction at one block.
+"""End-to-end forward pass with optional token reduction at one block, split
+at the insertion block.
 
-forward_full runs patch embedding, every stage's entry transform and
-attention blocks, applies the configured reduction at the insertion block,
-mean-pools the final tokens over time and space, and maps the pooled feature
-through the classifier head.
+forward_prefix validates the input and runs patch embedding, every stage's
+entry transform and the attention blocks before the insertion block.
+Nothing in it depends on the reduction plan, so one prefix serves every
+strategy and keep ratio at that block. forward_suffix copies the prefix's
+ledger entries, runs the insertion block (unreduced, pruned or merged), the
+remaining blocks, mean-pools the final tokens over time and space, and maps
+the pooled feature through the classifier head. It never modifies the
+prefix, so any number of suffixes can run on one. forward_full is
+forward_suffix on a fresh prefix.
 
 The insertion block follows one rule. Strategy kind `none`, or keep ratio
 1.0 with any strategy, runs the block unreduced and records every token as
 kept. Any other plan scores the tokens (random_prune needs no scores),
-selects, and runs the prune or merge kernel. The selection record (anchor
-array, merge weights, scores, and with capture the uncertainty trajectories)
-is returned when capture is set or the plan's strategy is not `none`.
+selects, and runs the prune or merge kernel. The uncertainty trajectories
+depend only on the prefix tokens and the head, so a prefix computes them at
+most once per head. The selection record (anchor array, merge weights,
+scores, and with capture the uncertainty trajectories) is returned when
+capture is set or the plan's strategy is not `none`.
+
+A sweep (sweep.run_sweep) builds one prefix per seed on the test split. Its
+`none` cells and every cell at keep ratio 1.0 run the same unreduced suffix,
+which it evaluates once; each reduced cell runs one suffix.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .backbone import (Model, downsample_tokens, patch_embed, ssa_forward,
-                       token_logits)
+from .backbone import (HeadWeights, Model, downsample_tokens, patch_embed,
+                       ssa_forward, token_logits)
 from .efficiency import SopLedger
 from .errors import ConfigError, ShapeError
 from .selection import (Strategy, build_keep_mask, build_merge_assignment,
@@ -38,6 +50,11 @@ class ReductionPlan:
     def __post_init__(self):
         if not 0.0 < self.keep_ratio <= 1.0:
             raise ValueError(f"keep ratio {self.keep_ratio} outside (0, 1]")
+
+    @property
+    def reduces(self) -> bool:
+        """False when the insertion block runs unreduced under this plan."""
+        return self.strategy.kind != "none" and self.keep_ratio < 1.0
 
 
 @dataclass
@@ -60,6 +77,27 @@ class ForwardResult:
     selection: Optional[SelectionDetail] = None
 
 
+@dataclass
+class Prefix:
+    """The forward pass up to the insertion block's input. tokens is that
+    input [T,B,N,D]; stage_tokens holds the outputs of the stages before the
+    insertion stage; ledger holds the ops charged so far."""
+
+    tokens: SpikeTensor
+    stage_tokens: list[SpikeTensor]
+    ledger: SopLedger
+    insert: tuple[int, int]  # (stage, block), 0-based
+    _trajectories: Optional[tuple[HeadWeights, np.ndarray]] = field(
+        default=None, repr=False)
+
+    def trajectories(self, head: HeadWeights) -> np.ndarray:
+        """[T,B,N] uncertainty of the insertion input under head, computed
+        once per head."""
+        if self._trajectories is None or self._trajectories[0] is not head:
+            self._trajectories = (head, uncertainty_trajectories(self.tokens, head))
+        return self._trajectories[1]
+
+
 def repeat_static(frames, steps: int):
     """Tile a single-step input [1,B,n,H,W] across the simulation steps."""
     arr = as_array(frames)
@@ -74,11 +112,22 @@ def pool_tokens(x: SpikeTensor) -> DenseTensor:
     return DenseTensor(x.data.astype(np.float64).mean(axis=(0, 2)).astype(np.float32))
 
 
-def forward_full(model: Model, frames, reduction: Optional[ReductionPlan] = None,
-                 ledger: Optional[SopLedger] = None,
-                 capture: bool = False) -> ForwardResult:
-    """Full inference pass. frames is [T0,B,n,H,W] with T0 == steps (event
-    data) or T0 == 1 (static input, repeated across steps)."""
+def _enter_stage(model: Model, s: int, x: SpikeTensor, ledger: SopLedger) -> SpikeTensor:
+    """Stage s's entry transform (identity when the stage has none)."""
+    if model.entries[s] is None:
+        return x
+    cfg = model.config
+    grid = cfg.grid_at(s - 1)
+    if x.shape[2] != grid[0] * grid[1]:
+        raise ConfigError("downsampling after token merge is unsupported")
+    return downsample_tokens(x, grid, cfg.stages[s].downsample, model.entries[s],
+                             cfg.lif, ledger)
+
+
+def forward_prefix(model: Model, frames, insert_block: Optional[str] = None) -> Prefix:
+    """Everything before the insertion block (None = the model's default).
+    frames is [T0,B,n,H,W] with T0 == steps (event data) or T0 == 1 (static
+    input, repeated across steps)."""
     cfg = model.config
     arr = as_array(frames)
     if arr.ndim != 5:
@@ -91,41 +140,56 @@ def forward_full(model: Model, frames, reduction: Optional[ReductionPlan] = None
     elif arr.shape[0] != cfg.steps:
         raise ConfigError(f"input steps {arr.shape[0]} != config steps {cfg.steps}")
 
-    if ledger is None:
-        ledger = SopLedger()
-    plan = reduction
-    reduce = plan is not None and plan.strategy.kind != "none" and plan.keep_ratio < 1.0
-    insert, detail = None, None
-    if capture or (plan is not None and plan.strategy.kind != "none"):
-        insert = cfg.parse_insert(plan.insert_block if plan is not None else None)
-        detail = SelectionDetail()
-
+    insert = cfg.parse_insert(insert_block)
+    ledger = SopLedger()
     x = patch_embed(frames, cfg.patch, model.embed_w, cfg.lif, ledger)
     stage_tokens: list[SpikeTensor] = []
-    for s, st in enumerate(cfg.stages):
-        if model.entries[s] is not None:
-            grid = cfg.grid_at(s - 1)
-            if x.shape[2] != grid[0] * grid[1]:
-                raise ConfigError("downsampling after token merge is unsupported")
-            x = downsample_tokens(x, grid, st.downsample, model.entries[s],
-                                  cfg.lif, ledger)
-        for b_i, block in enumerate(model.blocks[s]):
-            if (s, b_i) != insert:
-                x = ssa_forward(x, block, ledger)
-                continue
-            u = None
-            if capture or (reduce and plan.strategy.kind != "random_prune"):
-                # one trajectory array serves the dump and the scores
-                u = uncertainty_trajectories(x, model.head)
-            if capture:
-                # dumps always measure at the insertion block's input tokens
-                detail.trajectories = u
-            if reduce:
-                x = _reduced_block(model, x, block, plan, u, ledger, detail)
-            else:
-                b, n = x.shape[1], x.shape[2]
-                detail.anchor = np.tile(np.arange(n, dtype=np.int64), (b, 1))
-                x = ssa_forward(x, block, ledger)
+    for s in range(insert[0] + 1):
+        x = _enter_stage(model, s, x, ledger)
+        last = insert[1] if s == insert[0] else len(model.blocks[s])
+        for block in model.blocks[s][:last]:
+            x = ssa_forward(x, block, ledger)
+        if s < insert[0]:
+            stage_tokens.append(x)
+    return Prefix(tokens=x, stage_tokens=stage_tokens, ledger=ledger, insert=insert)
+
+
+def forward_suffix(model: Model, prefix: Prefix, plan: Optional[ReductionPlan] = None,
+                   ledger: Optional[SopLedger] = None,
+                   capture: bool = False) -> ForwardResult:
+    """The insertion block under plan, the blocks after it, pool and head."""
+    cfg = model.config
+    s_ins, b_ins = prefix.insert
+    if plan is not None and cfg.parse_insert(plan.insert_block) != prefix.insert:
+        raise ConfigError(f"plan inserts at {plan.insert_block!r}, the prefix at "
+                          f"{s_ins + 1}.{b_ins}")
+    if ledger is None:
+        ledger = SopLedger()
+    for label, (sa, mac) in prefix.ledger.entries.items():
+        ledger.add(label, sa, mac)
+
+    x, block = prefix.tokens, model.blocks[s_ins][b_ins]
+    reduce = plan is not None and plan.reduces
+    detail = None
+    if capture or (plan is not None and plan.strategy.kind != "none"):
+        detail = SelectionDetail()
+    if capture:
+        # dumps always measure at the insertion block's input tokens
+        detail.trajectories = prefix.trajectories(model.head)
+    if reduce:
+        x = _reduced_block(model, prefix, block, plan, ledger, detail)
+    else:
+        if detail is not None:
+            b, n = x.shape[1], x.shape[2]
+            detail.anchor = np.tile(np.arange(n, dtype=np.int64), (b, 1))
+        x = ssa_forward(x, block, ledger)
+
+    stage_tokens = list(prefix.stage_tokens)
+    for s in range(s_ins, len(cfg.stages)):
+        if s > s_ins:
+            x = _enter_stage(model, s, x, ledger)
+        for block in model.blocks[s][b_ins + 1 if s == s_ins else 0:]:
+            x = ssa_forward(x, block, ledger)
         stage_tokens.append(x)
     pooled = pool_tokens(x)
     logits = token_logits(pooled, model.head)
@@ -133,15 +197,26 @@ def forward_full(model: Model, frames, reduction: Optional[ReductionPlan] = None
                          selection=detail)
 
 
-def _reduced_block(model: Model, x: SpikeTensor, block, plan: ReductionPlan,
-                   u: Optional[np.ndarray], ledger: SopLedger,
-                   detail: SelectionDetail) -> SpikeTensor:
-    strat = plan.strategy
+def forward_full(model: Model, frames, reduction: Optional[ReductionPlan] = None,
+                 ledger: Optional[SopLedger] = None,
+                 capture: bool = False) -> ForwardResult:
+    """Full inference pass: forward_suffix on a fresh forward_prefix. frames
+    is [T0,B,n,H,W] with T0 == steps (event data) or T0 == 1 (static input,
+    repeated across steps)."""
+    insert_block = reduction.insert_block if reduction is not None else None
+    return forward_suffix(model, forward_prefix(model, frames, insert_block),
+                          reduction, ledger, capture)
+
+
+def _reduced_block(model: Model, prefix: Prefix, block, plan: ReductionPlan,
+                   ledger: SopLedger, detail: SelectionDetail) -> SpikeTensor:
+    x, strat = prefix.tokens, plan.strategy
     if strat.kind == "random_prune":
         # the seeded draw needs only the [B, N] shape
         scores = DenseTensor(np.zeros(x.shape[1:3], dtype=np.float32))
     else:
-        scores = score_tokens(u, lam=strat.lam, mode=strat.score_mode)
+        scores = score_tokens(prefix.trajectories(model.head), lam=strat.lam,
+                              mode=strat.score_mode)
         detail.scores = scores
     if strat.kind == "uncert_merge":
         detail.anchor, detail.weights = build_merge_assignment(scores, x, plan.keep_ratio)

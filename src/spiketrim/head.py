@@ -108,21 +108,22 @@ def topk_classes(logits: np.ndarray, k: int) -> np.ndarray:
     return order[..., :k]
 
 
+def accuracies(logits: DenseTensor, labels: Sequence[int]) -> tuple[float, float]:
+    """(top-1, top-5) accuracy of [B, C] logits against B labels. With fewer
+    than five classes the top-5 value degenerates to top-1 by construction;
+    callers flag that in their report headers."""
+    y = np.asarray(list(labels), dtype=np.int64)
+    if y.shape[0] != logits.shape[0]:
+        raise ValueError("label count does not match batch")
+    acc1 = float((predictions(logits) == y).mean())
+    topk = topk_classes(logits.data, min(5, logits.shape[1]))
+    acc5 = float((topk == y[:, None]).any(axis=1).mean())
+    return acc1, acc5
+
+
 def eval_metrics(model: Model, frames, labels: Sequence[int],
                  reduction: ReductionPlan | None = None) -> tuple[float, float, ForwardResult]:
-    """(top-1 accuracy, top-5 accuracy, forward result) on one batch.
-
-    With fewer than five classes the top-5 column degenerates to top-1 by
-    construction; callers flag that in their report headers.
-    """
+    """(top-1 accuracy, top-5 accuracy, forward result) on one batch."""
     result = forward_full(model, frames, reduction=reduction, ledger=None)
-    y = np.asarray(list(labels), dtype=np.int64)
-    if y.shape[0] != result.logits.shape[0]:
-        raise ValueError("label count does not match batch")
-    logits = result.logits.data
-    pred = predictions(result.logits)
-    acc1 = float((pred == y).mean())
-    topk = topk_classes(logits, min(5, logits.shape[1]))
-    acc5 = float((topk == y[:, None]).any(axis=1).mean())
+    acc1, acc5 = accuracies(result.logits, labels)
     return acc1, acc5, result
-

@@ -31,7 +31,7 @@ from .efficiency import SopLedger
 from .errors import ShapeError
 from .neuron import LifParams, lif_sequence
 from .rng import stream
-from .tensors import DenseTensor, SpikeTensor, topk_indices
+from .tensors import DenseTensor, SpikeTensor, topk_rows
 
 STRATEGY_KINDS = ("uncert_prune", "uncert_merge", "random_prune",
                   "low_uncert_prune", "none")
@@ -75,17 +75,18 @@ def build_keep_mask(scores: DenseTensor, ratio: float, strategy: Strategy) -> np
         raise ShapeError(f"scores must be [B, N], got {scores.shape}")
     b, n = scores.shape
     k = n_keep(ratio, n)
+    if strategy.kind in ("uncert_prune", "uncert_merge"):
+        idx = topk_rows(scores.data, k)
+    elif strategy.kind == "low_uncert_prune":
+        idx = topk_rows(-scores.data, k)
+    elif strategy.kind == "random_prune":
+        idx = np.array([stream(strategy.seed, f"random_prune/{m}")
+                        .sample_without_replacement(n, k) for m in range(b)],
+                       dtype=np.int64)
+    else:
+        raise ValueError(f"strategy {strategy.kind!r} builds no keep mask")
     anchor = np.full((b, n), -1, dtype=np.int64)
-    for m in range(b):
-        if strategy.kind in ("uncert_prune", "uncert_merge"):
-            idx = topk_indices(scores.data[m], k)
-        elif strategy.kind == "low_uncert_prune":
-            idx = topk_indices(-scores.data[m].astype(np.float64), k)
-        elif strategy.kind == "random_prune":
-            idx = stream(strategy.seed, f"random_prune/{m}").sample_without_replacement(n, k)
-        else:
-            raise ValueError(f"strategy {strategy.kind!r} builds no keep mask")
-        anchor[m, idx] = idx
+    anchor[np.arange(b)[:, None], idx] = idx
     return anchor
 
 
@@ -149,8 +150,9 @@ def build_merge_assignment(scores: DenseTensor, features: SpikeTensor,
     anchor = np.empty((b, n), dtype=np.int64)
     weights = np.ones((b, n), dtype=np.float64)
     rows = np.arange(n)
+    top = topk_rows(scores.data, k)  # [B, K] anchors, ascending
     for m in range(b):
-        anchors = np.array(topk_indices(scores.data[m], k), dtype=np.int64)
+        anchors = top[m]
         zbar = features.data[:, m].astype(np.float64).mean(axis=0)  # [N, D]
         norms = np.sqrt((zbar**2).sum(axis=-1))
         dots = zbar @ zbar[anchors].T  # [N, K]

@@ -21,7 +21,7 @@ from .head import ridge_solve
 from .neuron import LifParams, LifState, lif_sequence, lif_step
 from .selection import (Strategy, apply_merge, build_keep_mask,
                         build_merge_assignment, pruned_ssa_batched)
-from .tensors import DenseTensor, SpikeTensor, topk_indices
+from .tensors import DenseTensor, SpikeTensor, topk_rows
 from .uncertainty import score_tokens, uncertainty_trajectories
 
 TOL = 1e-6
@@ -101,9 +101,12 @@ def check_lif_boundary():
 
 
 def check_topk():
-    assert topk_indices([0.9, 0.1, 0.5, 0.5, 0.3], 3) == [0, 2, 3]
-    assert topk_indices([0.5, 0.5, 0.5, 0.1], 2) == [0, 1]
-    assert topk_indices([0.1, 0.2, 0.3], 3) == [0, 1, 2]
+    # one batch, each row ranked on its own
+    keys = np.array([[0.9, 0.1, 0.5, 0.5, 0.3],
+                     [0.5, 0.5, 0.5, 0.1, 0.0],
+                     [0.1, 0.2, 0.3, 0.0, 0.0]])
+    assert topk_rows(keys, 3).tolist() == [[0, 2, 3], [0, 1, 2], [0, 1, 2]]
+    assert topk_rows(keys[1:2], 2).tolist() == [[0, 1]]
 
 
 def check_flatten_index():

@@ -1,11 +1,14 @@
 """Experiment sweeps over selection strategies, keep ratios, and seeds.
 
-Each sweep cell is an independent end-to-end run: synthesize the seed's
-dataset, initialize the seed's model, fit the ridge head on the unreduced
-train split, then evaluate the test split with the cell's reduction applied
-at the insertion block. Rows are emitted in sorted (strategy, ratio, seed)
-order and all real numbers print with fixed six decimals, so the CSV is
-byte-stable for equal configs.
+Each seed synthesizes its dataset, initializes its model and fits the ridge
+head on the unreduced train split. Every cell of the seed then evaluates the
+test split with the cell's reduction applied at the insertion block. The
+blocks before that block do not depend on the reduction, so they run once per
+seed (engine.forward_prefix), and the cells that leave the block unreduced
+(strategy `none`, or keep ratio 1.0) share one evaluation; a cell's numbers
+are the same as those of a full forward pass under its plan. Rows are emitted
+in sorted (strategy, ratio, seed) order and all real numbers print with fixed
+six decimals, so the CSV is byte-stable for equal configs.
 """
 from __future__ import annotations
 
@@ -15,9 +18,9 @@ from typing import Optional, Sequence
 from .backbone import Model, ModelConfig, init_model
 from .data import Dataset, SyntheticSpec, synth_dataset
 from .efficiency import EnergyModel, energy_mj, reduction_percent
-from .engine import ReductionPlan
+from .engine import Prefix, ReductionPlan, forward_prefix, forward_suffix
 from .errors import ConfigError
-from .head import RidgeConfig, eval_metrics, train_head
+from .head import RidgeConfig, accuracies, train_head
 from .selection import STRATEGY_KINDS, Strategy
 
 # external (CLI/CSV) strategy names <-> internal kinds
@@ -125,9 +128,10 @@ def prepared_model(model_config: ModelConfig, spec: SyntheticSpec, seed: int,
     return model, train, test
 
 
-def evaluate_cell(model: Model, test: Dataset, plan: Optional[ReductionPlan],
+def evaluate_cell(model: Model, prefix: Prefix, labels, plan: Optional[ReductionPlan],
                   insert_prefix: str) -> tuple[float, float, int, float]:
-    acc1, acc5, result = eval_metrics(model, test.frames, test.labels, plan)
+    result = forward_suffix(model, prefix, plan)
+    acc1, acc5 = accuracies(result.logits, labels)
     if model.config.num_classes < 5:
         acc5 = acc1  # top-5 is vacuous below five classes; column holds acc1
     block_sops, _ = result.ledger.totals(prefix=insert_prefix)
@@ -141,10 +145,19 @@ def run_sweep(cfg: SweepConfig, model_config: ModelConfig,
     rows: list[ResultRow] = []
     for seed in cfg.seeds:
         model, _, test = prepared_model(model_config, spec, seed, cfg.l2)
+        prefix = forward_prefix(model, test.frames, cfg.insert_block)
+        unreduced = None  # the cell every unreduced plan gives
         for strategy_name in cfg.strategies:
             for ratio in cfg.keep_ratios:
                 plan = build_plan(cfg, strategy_name, ratio, seed)
-                acc1, acc5, block_sops, e_mj = evaluate_cell(model, test, plan, insert_prefix)
+                if plan.reduces:
+                    cell = evaluate_cell(model, prefix, test.labels, plan, insert_prefix)
+                elif unreduced is None:
+                    cell = unreduced = evaluate_cell(model, prefix, test.labels, plan,
+                                                     insert_prefix)
+                else:
+                    cell = unreduced
+                acc1, acc5, block_sops, e_mj = cell
                 rows.append(ResultRow(strategy=strategy_name, keep_ratio=ratio,
                                       seed=seed, acc1=acc1, acc5=acc5,
                                       block_sops=block_sops, energy_mj=e_mj))
@@ -169,14 +182,15 @@ def sop_rows(model: Model, test: Dataset, ratios: Sequence[float], seed: int,
              cfg: SweepConfig) -> list[dict]:
     """Block-level efficiency report rows for the pruned insertion block."""
     s, b = model.config.parse_insert(cfg.insert_block)
-    prefix = f"stage{s + 1}.block{b}"
+    insert_prefix = f"stage{s + 1}.block{b}"
+    prefix = forward_prefix(model, test.frames, cfg.insert_block)
     rows = []
     base_total = None
     for ratio in sorted(ratios, reverse=True):
         name = "none" if ratio == 1.0 else "uncert-prune"
         plan = build_plan(cfg, name, ratio, seed)
-        _, _, result = eval_metrics(model, test.frames, test.labels, plan)
-        sa, mac = result.ledger.totals(prefix=prefix)
+        result = forward_suffix(model, prefix, plan)
+        sa, mac = result.ledger.totals(prefix=insert_prefix)
         total = sa + mac
         if base_total is None:
             base_total = total

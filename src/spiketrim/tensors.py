@@ -83,20 +83,20 @@ def as_array(x) -> np.ndarray:
     return np.asarray(x)
 
 
-def topk_indices(scores: Sequence[float], k: int) -> list[int]:
-    """Indices of the k largest scores; ties favor the smaller index.
+def topk_rows(keys: np.ndarray, k: int) -> np.ndarray:
+    """[B, k] int64 indices of the k largest keys in each row of [B, N] real
+    keys, each row ascending; ties favor the smaller index.
 
-    Returned list is sorted ascending by index. Deterministic by construction:
-    candidates are ordered by (-score, index) before truncation.
+    Deterministic by construction: one stable sort of -key orders every row
+    by (-key, index) before truncation. Keys are ranked in their own dtype;
+    negation is exact in any float type, so no widening copy is needed.
     """
-    arr = np.asarray(scores, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ShapeError("topk_indices expects a flat score list")
+    arr = np.asarray(keys)
+    if arr.ndim != 2:
+        raise ShapeError(f"topk_rows expects [B, N] keys, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError("scores must be finite")
-    if not 0 <= k <= arr.size:
-        raise ValueError(f"k={k} outside [0, {arr.size}]")
-    if k == 0:
-        return []
-    order = np.lexsort((np.arange(arr.size), -arr))
-    return sorted(int(i) for i in order[:k])
+    if not 0 <= k <= arr.shape[1]:
+        raise ValueError(f"k={k} outside [0, {arr.shape[1]}]")
+    order = np.argsort(-arr, axis=-1, kind="stable")
+    return np.sort(order[:, :k], axis=-1)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .backbone import HeadWeights, token_logits
+from .errors import ShapeError
 from .tensors import DenseTensor, SpikeTensor
 
 SCORE_MODES = ("full", "mean_only", "std_only", "last_step")
@@ -48,6 +49,8 @@ def score_tokens(u: np.ndarray, lam: float = 0.9, mode: str = "full") -> DenseTe
         raise ValueError(f"unknown score mode {mode!r}")
     if lam < 0:
         raise ValueError("lambda must be non-negative")
+    if u.ndim != 3 or u.shape[0] < 1:
+        raise ShapeError(f"trajectory must be [T,B,N] with T >= 1, got {u.shape}")
     mu = u.mean(axis=0)
     sigma = np.sqrt(((u - mu) ** 2).mean(axis=0))
     if mode == "full":

@@ -22,7 +22,7 @@ from spiketrim.selection import Strategy, build_keep_mask
 from spiketrim.sweep import (SweepConfig, build_plan, parse_config_text,
                              prepared_model, rows_csv, run_sweep)
 from spiketrim.svg import emit_svg_lines
-from spiketrim.tensors import topk_indices
+from spiketrim.tensors import topk_rows
 from spiketrim.uncertainty import score_tokens, uncertainty_trajectories
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -186,10 +186,10 @@ def test_criterion_7_ground_truth_recovery(prepared):
             model, test.frames,
             ReductionPlan(Strategy(kind="uncert_prune", seed=seed), 0.99),
             capture=True)
-        scores = res.selection.scores.data
-        for m in range(scores.shape[0]):
+        top_rows = topk_rows(res.selection.scores.data, SPEC.signature_tokens)
+        for m, row in enumerate(top_rows.tolist()):
             truth = set(test.signature_positions[int(test.labels[m])])
-            top = set(topk_indices(scores[m], SPEC.signature_tokens))
+            top = set(row)
             hits += top == truth
             total += 1
     recovery = hits / total

@@ -7,7 +7,7 @@ from spiketrim.backbone import ModelConfig, StageConfig, init_model
 from spiketrim.data import SyntheticSpec, synth_dataset
 from spiketrim.efficiency import SopLedger
 from spiketrim.engine import (ForwardResult, ReductionPlan, forward_full,
-                              repeat_static)
+                              forward_prefix, forward_suffix, repeat_static)
 from spiketrim.errors import ConfigError
 from spiketrim.head import train_head
 from spiketrim.selection import Strategy
@@ -164,6 +164,120 @@ class TestReducedForward:
         assert forward_full(model, x, prune).stage_tokens[-1].shape[2] == 4
         with pytest.raises(ConfigError):
             forward_full(model, x, ReductionPlan(Strategy(kind="uncert_merge"), 0.5))
+        # the same on a prefix that already served a pruning suffix
+        prefix = forward_prefix(model, x)
+        assert forward_suffix(model, prefix, prune).stage_tokens[-1].shape[2] == 4
+        with pytest.raises(ConfigError):
+            forward_suffix(model, prefix, ReductionPlan(Strategy(kind="uncert_merge"), 0.5))
+
+
+KINDS = ("uncert_prune", "uncert_merge", "random_prune", "low_uncert_prune", "none")
+
+
+@pytest.fixture(scope="module")
+def trained():
+    spec = SyntheticSpec(train_samples=96, test_samples=24, p_background=0.35)
+    train, test = synth_dataset(spec, 6)
+    model = init_model(ModelConfig(seed=6))
+    train_head(model, train.frames, train.labels)
+    return model, test
+
+
+def _selection_bytes(sel):
+    if sel is None:
+        return None
+    return tuple(None if a is None else (a.dtype.str, a.shape, a.tobytes())
+                 for a in (sel.anchor, sel.weights,
+                           None if sel.scores is None else sel.scores.data,
+                           sel.trajectories))
+
+
+def _result_bytes(res):
+    return (res.logits.data.tobytes(), list(res.ledger.entries.items()),
+            [(t.shape, t.data.tobytes()) for t in res.stage_tokens],
+            _selection_bytes(res.selection))
+
+
+class TestPrefixSuffix:
+    @pytest.mark.parametrize("insert_block", ["1.0", "3.1"])
+    @pytest.mark.parametrize("capture", [False, True])
+    def test_shared_prefix_equals_forward_full(self, trained, insert_block, capture):
+        # one prefix serves every plan in turn, as in a sweep; each suffix must
+        # give the bits of a fresh full pass, ledger insertion order included
+        model, test = trained
+        prefix = forward_prefix(model, test.frames, insert_block)
+        for kind in KINDS:
+            for ratio in (1.0, 0.6, 0.2):
+                plan = ReductionPlan(Strategy(kind=kind, seed=3), ratio, insert_block)
+                full = forward_full(model, test.frames, plan, capture=capture)
+                split = forward_suffix(model, prefix, plan, capture=capture)
+                assert _result_bytes(split) == _result_bytes(full), (kind, ratio)
+
+    def test_prefix_stops_at_insertion_block(self, trained):
+        model, test = trained
+        prefix = forward_prefix(model, test.frames, "3.1")
+        full = forward_full(model, test.frames)
+        assert prefix.insert == (2, 1)
+        assert [t.data.tobytes() for t in prefix.stage_tokens] == \
+            [t.data.tobytes() for t in full.stage_tokens[:2]]
+        assert list(prefix.ledger.entries) == [
+            label for label in full.ledger.entries if not label.startswith("stage3.block1")]
+
+    def test_suffixes_leave_prefix_untouched(self, trained):
+        model, test = trained
+        prefix = forward_prefix(model, test.frames)
+        before = (prefix.tokens.data.tobytes(),
+                  [t.data.tobytes() for t in prefix.stage_tokens],
+                  dict(prefix.ledger.entries))
+        for kind in ("uncert_merge", "uncert_prune"):
+            res = forward_suffix(model, prefix, ReductionPlan(Strategy(kind=kind), 0.4),
+                                 capture=True)
+            res.ledger.add("stage1.block0.qkv", 1, 1)  # the result's ledger is its own
+        after = (prefix.tokens.data.tobytes(),
+                 [t.data.tobytes() for t in prefix.stage_tokens],
+                 dict(prefix.ledger.entries))
+        assert after == before
+
+    def test_caller_ledger_accumulates(self, trained):
+        model, test = trained
+        ledger = SopLedger()
+        ledger.add("earlier", 5, 7)
+        prefix = forward_prefix(model, test.frames)
+        res = forward_suffix(model, prefix, None, ledger=ledger)
+        assert res.ledger is ledger
+        expected = forward_full(model, test.frames).ledger.entries
+        assert list(ledger.entries.items()) == [("earlier", (5, 7))] + list(expected.items())
+
+    def test_trajectories_computed_once_per_prefix(self, trained, monkeypatch):
+        model, test = trained
+        calls = []
+        token_logits = uncertainty.token_logits
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return token_logits(*args, **kwargs)
+
+        monkeypatch.setattr(uncertainty, "token_logits", counting)
+        prefix = forward_prefix(model, test.frames)
+        for kind in ("uncert_prune", "low_uncert_prune", "uncert_merge"):
+            forward_suffix(model, prefix, ReductionPlan(Strategy(kind=kind), 0.5),
+                           capture=True)
+        assert len(calls) == 1
+
+    def test_trajectories_follow_the_head(self, trained):
+        model, test = trained
+        prefix = forward_prefix(model, test.frames)
+        u = prefix.trajectories(model.head)
+        other = init_model(ModelConfig(seed=6)).head
+        assert prefix.trajectories(model.head) is u
+        assert prefix.trajectories(other).tobytes() != u.tobytes()
+
+    def test_plan_at_another_block_rejected(self, trained):
+        model, test = trained
+        prefix = forward_prefix(model, test.frames, "3.1")
+        with pytest.raises(ConfigError):
+            forward_suffix(model, prefix,
+                           ReductionPlan(Strategy(kind="uncert_prune"), 0.5, "3.0"))
 
 
 # Names the benchmark's tracer wraps where forward_full looks them up; a

@@ -2,12 +2,16 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from spiketrim import engine, selection
 from spiketrim.backbone import ModelConfig, StageConfig
 from spiketrim.data import SyntheticSpec
+from spiketrim.efficiency import energy_mj
 from spiketrim.errors import ConfigError
+from spiketrim.head import eval_metrics
 from spiketrim.svg import emit_svg_lines
-from spiketrim.sweep import (ResultRow, SweepConfig, parse_config_text,
-                             rows_csv, run_sweep, sweep_config_from_entries)
+from spiketrim.sweep import (ResultRow, SweepConfig, build_plan, parse_config_text,
+                             prepared_model, rows_csv, run_sweep,
+                             sweep_config_from_entries)
 
 
 def small_setup():
@@ -72,6 +76,45 @@ class TestRunSweep:
         rows = run_sweep(cfg, model_cfg, spec)
         assert spec.classes < 5
         assert all(r.acc5 == r.acc1 for r in rows)
+
+
+    def test_rows_equal_full_forward_per_cell(self):
+        # shared prefix and shared unreduced cell give each cell's own numbers
+        spec = SyntheticSpec(train_samples=64, test_samples=32, p_background=0.35)
+        model_cfg = ModelConfig()
+        cfg = SweepConfig(seeds=(3,), keep_ratios=(1.0, 0.6, 0.2))
+        rows = run_sweep(cfg, model_cfg, spec)
+        model, _, test = prepared_model(model_cfg, spec, 3, cfg.l2)
+        expected = []
+        for name in cfg.strategies:
+            for ratio in cfg.keep_ratios:
+                plan = build_plan(cfg, name, ratio, 3)
+                acc1, _, res = eval_metrics(model, test.frames, test.labels, plan)
+                expected.append(ResultRow(name, ratio, 3, acc1, acc1,
+                                          res.ledger.totals("stage3.block1")[0],
+                                          energy_mj(res.ledger)))
+        expected.sort(key=lambda r: (r.strategy, r.keep_ratio, r.seed))
+        assert rows == expected
+
+    def test_prefix_and_unreduced_cell_run_once_per_seed(self, monkeypatch):
+        # one seed of the default 5x5 grid: train + test embeddings; SSA blocks
+        # 4 (train) + 3 (test prefix) + 1 (the shared unreduced cell) + 16
+        # (one insertion block per reduced cell)
+        calls = {"patch_embed": 0, "ssa_forward": 0}
+
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for module, attr in ((engine, "patch_embed"), (engine, "ssa_forward"),
+                             (selection, "ssa_forward")):
+            monkeypatch.setattr(module, attr, counting(attr, getattr(module, attr)))
+        spec = SyntheticSpec(train_samples=32, test_samples=16)
+        rows = run_sweep(SweepConfig(seeds=(1,)), ModelConfig(), spec)
+        assert len(rows) == 25
+        assert calls == {"patch_embed": 2, "ssa_forward": 24}
 
 
 class TestCsv:

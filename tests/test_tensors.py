@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,7 @@ from spiketrim.efficiency import SopLedger
 from spiketrim.errors import ShapeError
 from spiketrim.neuron import LifParams
 from spiketrim.selection import pruned_ssa_batched
-from spiketrim.tensors import DenseTensor, SpikeTensor, check_shape, topk_indices
+from spiketrim.tensors import DenseTensor, SpikeTensor, check_shape, topk_rows
 from spiketrim.uncertainty import score_tokens
 
 
@@ -152,38 +154,54 @@ class TestGatherScatter:
             pruned_ssa_batched(base, _keep(3, [0, 1], 1), _identity_block(2))
 
 
+def _top(scores, k):
+    """topk_rows on one row of scores, as a list."""
+    return topk_rows(np.array([scores], dtype=np.float64), k)[0].tolist()
+
+
 class TestTopK:
     def test_derived_example(self):
-        assert topk_indices([0.9, 0.1, 0.5, 0.5, 0.3], 3) == [0, 2, 3]
+        assert _top([0.9, 0.1, 0.5, 0.5, 0.3], 3) == [0, 2, 3]
 
     def test_tie_break(self):
-        assert topk_indices([0.5, 0.5, 0.5, 0.1], 2) == [0, 1]
+        assert _top([0.5, 0.5, 0.5, 0.1], 2) == [0, 1]
 
     def test_k_equals_n(self):
-        assert topk_indices([0.3, 0.1, 0.2], 3) == [0, 1, 2]
+        assert _top([0.3, 0.1, 0.2], 3) == [0, 1, 2]
 
     def test_k_zero(self):
-        assert topk_indices([1.0, 2.0], 0) == []
+        assert topk_rows(np.array([[1.0, 2.0], [2.0, 1.0]]), 0).shape == (2, 0)
 
     def test_k_too_large(self):
         with pytest.raises(ValueError):
-            topk_indices([1.0], 2)
+            _top([1.0], 2)
 
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
-            topk_indices([np.nan, 1.0], 1)
+            topk_rows(np.array([[0.0, 1.0], [np.nan, 1.0]]), 1)
 
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40),
-           st.data())
+    def test_rejects_flat_keys(self):
+        with pytest.raises(ShapeError):
+            topk_rows(np.array([1.0, 2.0]), 1)
+
+    @given(st.integers(1, 40), st.integers(1, 5), st.data())
     @settings(max_examples=200, deadline=None)
-    def test_topk_properties(self, scores, data):
-        k = data.draw(st.integers(0, len(scores)))
-        sel = topk_indices(scores, k)
-        assert sel == topk_indices(scores, k)  # deterministic
-        assert sel == sorted(sel) and len(set(sel)) == len(sel)
-        if k:
-            worst = min(scores[i] for i in sel)
-            assert all(scores[j] <= worst for j in range(len(scores)) if j not in sel)
+    def test_topk_properties(self, n, b, data):
+        rows = [data.draw(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n))
+                for _ in range(b)]
+        k = data.draw(st.integers(0, n))
+        sel = topk_rows(np.array(rows), k)
+        assert (sel == topk_rows(np.array(rows), k)).all()  # deterministic
+        assert sel.shape == (b, k)
+        for scores, row in zip(rows, sel.tolist()):
+            assert row == _top(scores, k)  # rows are independent
+            assert row == sorted(row) and len(set(row)) == len(row)
+            if k:
+                worst = min(scores[i] for i in row)
+                assert all(scores[j] <= worst for j in range(n) if j not in row)
+                # ties at the cut go to the smaller index
+                assert all(j > max(i for i in row if scores[i] == worst)
+                           for j in range(n) if j not in row and scores[j] == worst)
 
 
 def _head(w, b=None):
@@ -259,10 +277,12 @@ class TestReduceMeanStd:
     def test_single(self):
         assert _mean_std([0.7]) == (float(np.float32(0.7)), 0.0)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_empty(self):
-        with pytest.raises(ValueError):
-            _mean_std([])
+        # no steps: refused up front, before numpy can warn about an empty mean
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ShapeError):
+                _mean_std([])
 
     def test_population_divisor(self):
         # divisor T, not T-1

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spiketrim.backbone import HeadWeights
+from spiketrim.errors import ShapeError
 from spiketrim.tensors import DenseTensor, SpikeTensor
 from spiketrim.uncertainty import (score_tokens, trajectory_csv,
                                    uncertainty_trajectories)
@@ -91,11 +93,12 @@ class TestStats:
         assert score([0.3] * 5, mode="std_only") == score([0.3] * 5, mode="std_only")
         assert score([0.42], mode="std_only") == 0.0
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_empty_rejected(self):
-        # no steps, no mean: the NaN score is refused by the score tensor
-        with pytest.raises(ValueError):
-            score_tokens(np.zeros((0, 1, 1)))
+        # no steps, no mean: refused up front, with no numpy warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ShapeError, match="T >= 1"):
+                score_tokens(np.zeros((0, 1, 1)))
 
 
 class TestScore:

@@ -14,6 +14,13 @@ each sample's active tokens and token_logits only on rows with a nonzero
 feature, with every output bit unchanged. The ledger is not execution: charges
 stay structural and are counted on the full token count N.
 
+Per-step kernels: the patch embedding computes each step's current with
+one per-position batched matmul and never holds the [T,B,N,D] current. An
+SSA block projects Q, K and V with one [D, 3D] matmul into one LIF state of
+width 3D; LIF is elementwise and the matmul exact, so the spikes are those
+of three separate projections and states, with 2 lif_step calls per step
+instead of 4. lif_step (neuron) updates its membrane in place.
+
 The patch embedding uses per-position projection weights: one weight block per
 token position. With weight sharing the whole network would be permutation
 equivariant over token positions and mean pooling would erase all position
@@ -267,21 +274,34 @@ def patch_embed(frames, patch: int, weights: DenseTensor, lif: LifParams,
     frames: SpikeTensor (event data, counted as spike-accumulates) or
     DenseTensor (static frames, counted as dense MACs) of shape [T,B,n,H,W].
     weights: [N, patch*patch*n, D].
+
+    One step at a time: a per-position batched matmul [N,B,F] @ [N,F,D] gives
+    the step's current and lif_step turns it into spikes, so the [T,B,N,D]
+    current is never held. With spike frames, or static frames on a dyadic
+    grid, every product and partial sum is exact and the bits equal those
+    of one einsum "tbnf,nfd->tbnd" over all steps; for other real-valued
+    static frames with F >= 3 the sum over F follows the BLAS order.
     """
     patches = extract_patches(frames, patch)
     t, b, n_tok, n_feat = patches.shape
     wf = weights.data.astype(np.float64)
     if wf.shape[0] != n_tok or wf.shape[1] != n_feat:
         raise ShapeError(f"embed weights {weights.shape} vs patches {patches.shape}")
-    # exact: binary/dyadic operands, float64 accumulation
-    current = np.einsum("tbnf,nfd->tbnd", patches, wf)
+    d = wf.shape[2]
     if ledger is not None:
-        d = wf.shape[2]
         if isinstance(frames, SpikeTensor):
             ledger.add(label, spike_accumulates=count_linear(int(patches.sum(dtype=np.int64)), d))
         else:
             ledger.add(label, dense_macs=t * b * n_tok * n_feat * d)
-    return lif_sequence(lif, current)
+    # looked up at call time, as in ssa_forward
+    from .neuron import lif_step
+
+    state = LifState.zeros(lif, (n_tok, b, d))
+    out = np.empty((t, b, n_tok, d), dtype=np.uint8)
+    for step in range(t):
+        current = np.matmul(patches[step].transpose(1, 0, 2), wf)  # [N,B,D]
+        out[step] = lif_step(state, current).transpose(1, 0, 2)
+    return SpikeTensor(out)
 
 
 def downsample_tokens(x: SpikeTensor, grid: tuple[int, int], factor: int,
@@ -318,7 +338,8 @@ def ssa_forward(x: SpikeTensor, w: SsaBlockWeights,
                 ledger: Optional[SopLedger] = None) -> SpikeTensor:
     """Spike-driven self-attention block over [T,B,N,D].
 
-    Per timestep: Q/K/V = LIF(linear(x_t)) with states carried across time;
+    Per timestep: Q/K/V = LIF(linear(x_t)) with states carried across time,
+    computed as one [D, 3D] projection into one shared [B, m, 3D] state;
     Y = (Q K^T) V; output current = proj(Y) * 2**-shift + x_t (residual enters
     as current), binarized by the output LIF. No softmax, no normalization.
 
@@ -337,9 +358,9 @@ def ssa_forward(x: SpikeTensor, w: SsaBlockWeights,
     t_steps, b, n, d = x.shape
     if w.w_q.shape[0] != d:
         raise ShapeError(f"block dim {w.w_q.shape[0]} vs input D={d}")
-    wq = w.w_q.data.astype(np.float64)
-    wk = w.w_k.data.astype(np.float64)
-    wv = w.w_v.data.astype(np.float64)
+    # one [D, 3D] projection and one LIF state for Q, K and V: LIF is
+    # elementwise and the matmul exact, so every bit equals three separate ones
+    wqkv = np.concatenate([w.w_q.data, w.w_k.data, w.w_v.data], axis=1).astype(np.float64)
     wp = w.w_proj.data.astype(np.float64)
     scale = 2.0 ** (-w.shift)
     active = x.data.any(axis=0).any(axis=-1)  # [B,N]
@@ -349,7 +370,8 @@ def ssa_forward(x: SpikeTensor, w: SsaBlockWeights,
     rows = np.arange(b)[:, None]
     idx = np.argsort(~active, axis=1, kind="stable")[:, :m]
     xs = x.data[:, rows, idx]  # [T,B,m,D]
-    states = [LifState.zeros(w.lif, (b, m, d)) for _ in range(4)]
+    qkv_state = LifState.zeros(w.lif, (b, m, 3 * d))
+    out_state = LifState.zeros(w.lif, (b, m, d))
     spikes = np.empty((t_steps, b, m, d), dtype=np.uint8)
     # looked up in neuron at call time, not bound at import: a wrapper
     # patched onto neuron.lif_step (a tracer, a test) must see every step
@@ -357,16 +379,17 @@ def ssa_forward(x: SpikeTensor, w: SsaBlockWeights,
 
     for t in range(t_steps):
         xt = xs[t].astype(np.float64)  # [B,m,D]
-        q = lif_step(states[0], xt @ wq).astype(np.float64)
-        k = lif_step(states[1], xt @ wk).astype(np.float64)
-        v = lif_step(states[2], xt @ wv).astype(np.float64)
-        a, y = attention_core(q, k, v)
-        z = (y @ wp) * scale
-        spikes[t] = lif_step(states[3], z + xt)
+        qkv = lif_step(qkv_state, xt @ wqkv)  # [B,m,3D] uint8: Q | K | V
+        # no float64 Q, K, V or A outlives the expression
+        z = attention_core(*(qkv[..., i * d:(i + 1) * d].astype(np.float64)
+                             for i in range(3)))[1] @ wp
+        z *= scale
+        z += xt
+        spikes[t] = lif_step(out_state, z)
         if ledger is not None:
             nnz_x = int(xs[t].sum(dtype=np.int64))
             ledger.add(f"{w.label}.qkv", spike_accumulates=count_linear(nnz_x, d) * 3)
-            sa, macs = count_attention(int(q.sum(dtype=np.int64)), n, d)
+            sa, macs = count_attention(int(qkv[..., :d].sum(dtype=np.int64)), n, d)
             ledger.add(f"{w.label}.attn", spike_accumulates=sa, dense_macs=macs * b)
             ledger.add(f"{w.label}.proj", dense_macs=b * n * d * d)
     out = np.zeros((t_steps, b, n, d), dtype=np.uint8)

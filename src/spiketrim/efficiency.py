@@ -6,8 +6,7 @@ Counting conventions:
   * Spike attention: the query-key product costs nnz(Q) * n_tokens
     spike-accumulates; the integer-valued attention matrix applied to V costs
     a structural n_tokens^2 * d dense multiply-accumulates (A is not binary,
-    so the work does not shrink with spike sparsity). A data-dependent MAC
-    variant is available behind a flag for sensitivity studies.
+    so the work does not shrink with spike sparsity).
   * Every operation, of either kind, is charged the same energy per op
     (default 0.9 pJ).
 
@@ -34,22 +33,14 @@ def count_linear(nnz_in: int, fan_out: int) -> int:
     return _checked(int(nnz_in) * int(fan_out), "count_linear")
 
 
-def count_attention(nnz_q: int, n_tokens: int, d: int,
-                    data_dependent_av: bool = False,
-                    nnz_a_rows: int | None = None) -> tuple[int, int]:
+def count_attention(nnz_q: int, n_tokens: int, d: int) -> tuple[int, int]:
     """(spike_accumulates, dense_macs) for one attention product pair.
 
     Q K^T: each active query element accumulates across all n_tokens keys.
-    A V: structural n_tokens^2 * d MACs by default; with data_dependent_av,
-    MACs are nnz_a_rows * d where nnz_a_rows counts nonzero entries of A.
+    A V: structural n_tokens^2 * d MACs.
     """
     sa = _checked(int(nnz_q) * int(n_tokens), "count_attention/qk")
-    if data_dependent_av:
-        if nnz_a_rows is None:
-            raise ValueError("data_dependent_av requires nnz_a_rows")
-        macs = _checked(int(nnz_a_rows) * int(d), "count_attention/av")
-    else:
-        macs = _checked(int(n_tokens) * int(n_tokens) * int(d), "count_attention/av")
+    macs = _checked(int(n_tokens) * int(n_tokens) * int(d), "count_attention/av")
     return sa, macs
 
 

@@ -37,7 +37,7 @@ from .efficiency import SopLedger
 from .errors import ConfigError, ShapeError
 from .selection import (Strategy, build_keep_mask, build_merge_assignment,
                         merged_ssa, pruned_ssa_batched)
-from .tensors import DenseTensor, SpikeTensor, as_array
+from .tensors import DenseTensor, SpikeTensor, as_array, spike_counts
 from .uncertainty import score_tokens, uncertainty_trajectories
 
 
@@ -108,8 +108,14 @@ def repeat_static(frames, steps: int):
 
 
 def pool_tokens(x: SpikeTensor) -> DenseTensor:
-    """Mean over time and tokens: [T,B,N,D] -> [B,D]."""
-    return DenseTensor(x.data.astype(np.float64).mean(axis=(0, 2)).astype(np.float32))
+    """Mean over time and tokens: [T,B,N,D] -> [B,D].
+
+    The integer spike count divided by T*N: counts are exact, so this has
+    the bits of the float64 mean without a float64 copy of the tokens.
+    """
+    t, _, n, _ = x.shape
+    counts = spike_counts(x.data).sum(axis=1, dtype=np.int64)
+    return DenseTensor((counts / (t * n)).astype(np.float32))
 
 
 def _enter_stage(model: Model, s: int, x: SpikeTensor, ledger: SopLedger) -> SpikeTensor:

@@ -5,6 +5,12 @@ membrane reaches the threshold (>= comparison, so exact equality fires), and
 spiking positions hard-reset to zero. Membranes are kept in float64 so the
 leak law (membrane after t silent steps == tau^t * initial) holds to far
 better than 1e-6 relative for any realistic horizon.
+
+lif_step updates the membrane array in place (*= tau, += current, then
+*= not-spiked) and allocates only the spike array. Each in-place operation
+rounds exactly as the out-of-place formula m * (1.0 - spikes) with
+m = tau * membrane + current does, signed zeros and firing at exactly the
+threshold included, so the two give the same bits.
 """
 from __future__ import annotations
 
@@ -41,17 +47,20 @@ class LifState:
 
 
 def lif_step(state: LifState, current: np.ndarray) -> np.ndarray:
-    """Advance one timestep in place; return the uint8 spikes (0 or 1).
+    """Advance one timestep, updating state.membrane in place; return the
+    uint8 spikes (0 or 1), a view of a fresh bool array.
 
     A per-timestep kernel: it takes and returns plain ndarrays, so no tensor
     wrapper is built or validated per step.
     """
-    if current.shape != state.membrane.shape:
-        raise ShapeError(f"current shape {current.shape} != membrane {state.membrane.shape}")
-    m = state.params.tau * state.membrane + current
+    m = state.membrane
+    if current.shape != m.shape:
+        raise ShapeError(f"current shape {current.shape} != membrane {m.shape}")
+    m *= state.params.tau
+    m += current
     spikes = m >= state.params.v_th
-    state.membrane = m * (1.0 - spikes)
-    return spikes.astype(np.uint8)
+    m *= ~spikes
+    return spikes.view(np.uint8)
 
 
 def lif_sequence(params: LifParams, currents) -> SpikeTensor:

@@ -17,6 +17,16 @@ Merging assigns every non-anchor token to its most cosine-similar anchor
 and combines each group with normalized exponential weights, anchor included
 at self-similarity 1. The merged tokens are real-valued and are re-binarized
 by a LIF front end before the attention block consumes them.
+
+Merging runs on the whole batch at once, and its two real-valued sums keep
+pinned orders, because a float sum in another order can differ in the last
+bit (the frozen reference and every recorded hash hold these orders):
+  * a group's weight denominator is numpy's pairwise `.sum()` over the
+    group laid out anchor first, then members ascending;
+  * a merged token is accumulated sequentially in that same order, one
+    weighted add per member, which is the per-group einsum("j,tjd->td").
+Silent tokens are skipped where the result cannot change: a silent token's
+cosines are 0 by definition, and a silent member adds exact zeros.
 """
 from __future__ import annotations
 
@@ -30,8 +40,8 @@ from .backbone import SsaBlockWeights, ssa_forward
 from .efficiency import SopLedger
 from .errors import ShapeError
 from .neuron import LifParams, lif_sequence
-from .rng import stream
-from .tensors import DenseTensor, SpikeTensor, topk_rows
+from .rng import permutations, stream_bases
+from .tensors import DenseTensor, SpikeTensor, spike_counts, topk_rows
 
 STRATEGY_KINDS = ("uncert_prune", "uncert_merge", "random_prune",
                   "low_uncert_prune", "none")
@@ -69,7 +79,7 @@ def build_keep_mask(scores: DenseTensor, ratio: float, strategy: Strategy) -> np
     uncert_prune keeps top scores, low_uncert_prune keeps top negated scores,
     random_prune draws a seeded sample without replacement (stream keyed by
     (strategy.seed, sample position), so keep sets are per-sample independent
-    and reproducible).
+    and reproducible); every sample's shuffle runs in one batched pass.
     """
     if len(scores.shape) != 2:
         raise ShapeError(f"scores must be [B, N], got {scores.shape}")
@@ -80,9 +90,9 @@ def build_keep_mask(scores: DenseTensor, ratio: float, strategy: Strategy) -> np
     elif strategy.kind == "low_uncert_prune":
         idx = topk_rows(-scores.data, k)
     elif strategy.kind == "random_prune":
-        idx = np.array([stream(strategy.seed, f"random_prune/{m}")
-                        .sample_without_replacement(n, k) for m in range(b)],
-                       dtype=np.int64)
+        # row m is stream(seed, f"random_prune/{m}").sample_without_replacement(n, k)
+        bases = stream_bases(strategy.seed, [f"random_prune/{m}" for m in range(b)])
+        idx = np.sort(permutations(bases, n)[:, :k], axis=1)
     else:
         raise ValueError(f"strategy {strategy.kind!r} builds no keep mask")
     anchor = np.full((b, n), -1, dtype=np.int64)
@@ -123,14 +133,17 @@ def pruned_ssa_batched(x: SpikeTensor, anchor: np.ndarray, w: SsaBlockWeights,
     return SpikeTensor(out)
 
 
-def _groups(anchor_row: np.ndarray) -> list[np.ndarray]:
-    """Token indices of each merge group that has members: the anchor first,
-    then its members ascending."""
-    idx = np.arange(anchor_row.size)
-    order = np.lexsort((idx, idx != anchor_row, anchor_row))
-    sizes = np.bincount(anchor_row, minlength=anchor_row.size)
-    ends = np.cumsum(sizes)
-    return [order[e - s : e] for s, e in zip(sizes.tolist(), ends.tolist()) if s > 1]
+def _group_order(anchor: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Merge groups of a [B, N] anchor array laid out flat over B*N: the
+    token order (each group's anchor first, then its members ascending), each
+    group's start in that order, and each group's size (index b*N + anchor,
+    0 for a token that anchors nothing)."""
+    b, n = anchor.shape
+    group = (anchor + (np.arange(b) * n)[:, None]).ravel()
+    # lexsort is stable, so tokens stay ascending within (group, member)
+    order = np.lexsort(((anchor != np.arange(n)).ravel(), group))
+    sizes = np.bincount(group, minlength=b * n)
+    return order, np.cumsum(sizes) - sizes, sizes
 
 
 def build_merge_assignment(scores: DenseTensor, features: SpikeTensor,
@@ -140,33 +153,56 @@ def build_merge_assignment(scores: DenseTensor, features: SpikeTensor,
     features (ties to the smaller anchor index, all-zero features have cosine
     0). A group's weights are normalized exponentials of similarity over
     [anchor] + members ascending, with anchor self-similarity 1; a token alone
-    in its group has weight 1."""
+    in its group has weight 1.
+
+    The whole batch runs at once: one [B, N, K] cosine array and one argmax.
+    Each group's denominator is the pairwise `.sum()` numpy gives its
+    weights in the pinned order (anchor first, members ascending): the groups
+    of one size are stacked as rows and summed along them, which runs the
+    same summation per row as a one-group `.sum()`. A sequential sum or
+    np.add.reduceat adds in another order and differs in the last bit.
+    """
     if not 0.0 < ratio < 1.0:
         raise ValueError(f"merge ratio {ratio} must lie in (0, 1)")
     b, n = scores.shape
+    t = features.shape[0]
     if features.shape[1] != b or features.shape[2] != n:
         raise ShapeError(f"features {features.shape} vs scores {scores.shape}")
     k = n_keep(ratio, n)
-    anchor = np.empty((b, n), dtype=np.int64)
-    weights = np.ones((b, n), dtype=np.float64)
-    rows = np.arange(n)
+    rows = np.arange(b)[:, None]
     top = topk_rows(scores.data, k)  # [B, K] anchors, ascending
-    for m in range(b):
-        anchors = top[m]
-        zbar = features.data[:, m].astype(np.float64).mean(axis=0)  # [N, D]
-        norms = np.sqrt((zbar**2).sum(axis=-1))
-        dots = zbar @ zbar[anchors].T  # [N, K]
-        dens = norms[:, None] * norms[anchors]
-        sims = np.where(dens > 0.0, dots / np.where(dens > 0.0, dens, 1.0), 0.0)
-        col = np.argmax(sims, axis=1)  # argmax tie -> smaller anchor
-        anchor[m] = anchors[col]
-        anchor[m, anchors] = anchors
-        sim_to_anchor = sims[rows, col]
-        for group in _groups(anchor[m]):
-            expw = np.exp(np.concatenate(([1.0], sim_to_anchor[group[1:]])))
-            expw /= expw.sum()
-            weights[m, group] = expw
-    return anchor, weights
+    counts = spike_counts(features.data)  # [B, N, D]
+    zbar = counts / t  # the float64 time mean, from exact integer counts
+    live_b, live_j = np.nonzero(counts.any(axis=-1))
+    norms = np.zeros((b, n))
+    norms[live_b, live_j] = np.sqrt((zbar[live_b, live_j] ** 2).sum(axis=-1))
+    dots = zbar @ zbar[rows, top].transpose(0, 2, 1)  # [B, N, K]
+    # A silent token's dot products are +0.0 and its cosines 0 by definition,
+    # so it joins the first anchor at similarity 0; only live rows divide.
+    sims = dots[live_b, live_j]  # [M, K]
+    del dots  # the one [B, N, K] temporary
+    dens = norms[live_b, live_j][:, None] * norms[rows, top][live_b]
+    # a zero norm means a zero feature, whose dot products are already +0.0
+    dens[dens == 0.0] = 1.0
+    sims /= dens
+    col = np.zeros((b, n), dtype=np.intp)
+    col[live_b, live_j] = np.argmax(sims, axis=1)  # argmax tie -> smaller anchor
+    best = np.zeros((b, n))
+    best[live_b, live_j] = sims[np.arange(sims.shape[0]), col[live_b, live_j]]
+    anchor = top[rows, col]
+    anchor[rows, top] = top
+    best[rows, top] = 1.0  # an anchor's self-similarity
+    expw = np.exp(best)
+
+    order, starts, sizes = _group_order(anchor)
+    flat = expw.ravel()
+    weights = np.ones(b * n, dtype=np.float64)
+    for size in np.unique(sizes[sizes > 1]).tolist():
+        members = order[starts[sizes == size][:, None] + np.arange(size)]  # [G, size]
+        w = flat[members]
+        w /= w.sum(axis=1)[:, None]
+        weights[members] = w
+    return anchor, weights.reshape(b, n)
 
 
 def apply_merge(x: SpikeTensor, anchor: np.ndarray, weights: np.ndarray,
@@ -176,22 +212,33 @@ def apply_merge(x: SpikeTensor, anchor: np.ndarray, weights: np.ndarray,
     per anchor in ascending token order.
 
     Weights are time-independent; merged token i at time t is the convex
-    combination of its members' spikes at t. Each weighted add is charged as
-    a dense MAC, and every token belongs to exactly one group.
+    combination of its members' spikes at t, accumulated in the pinned order
+    (anchor first, then members ascending, one add per member), which is the
+    per-group einsum("j,tjd->td") bit for bit. A silent member adds exact
+    zeros, so only members with a spike are visited. Each weighted add is
+    charged as a dense MAC, and every token belongs to exactly one group.
     """
     t, b, n, d = x.shape
     if anchor.shape != (b, n) or weights.shape != (b, n):
         raise ShapeError(f"anchor {anchor.shape} / weights {weights.shape} "
                          f"for tokens {x.shape}")
     kept = _kept(anchor)
-    out = np.empty((t, b, int(kept[0].sum()), d), dtype=np.float64)
-    for m in range(b):
-        xm = x.data[:, m].astype(np.float64)  # [T,N,D]
-        anchors = np.flatnonzero(kept[m])
-        out[:, m] = xm[:, anchors] * weights[m, anchors][:, None]
-        for group in _groups(anchor[m]):
-            out[:, m, np.searchsorted(anchors, group[0])] = np.einsum(
-                "j,tjd->td", weights[m, group], xm[:, group])
+    rows = np.arange(b)[:, None]
+    anchors = np.nonzero(kept)[1].reshape(b, -1)  # [B, K], ascending per sample
+    out = np.empty((t, b, anchors.shape[1], d))  # C order, as DenseTensor keeps it
+    np.multiply(x.data[:, rows, anchors], weights[rows, anchors][:, :, None], out=out)
+    # members with a spike, ascending within their group, and each one's rank
+    bb, jj = np.nonzero(~kept & x.data.any(axis=0).any(axis=-1))
+    group = bb * n + anchor[bb, jj]
+    order = np.argsort(group, kind="stable")
+    bb, jj, group = bb[order], jj[order], group[order]
+    rank = np.arange(group.size) - np.searchsorted(group, group)
+    slot = (np.cumsum(kept, axis=1) - 1)[bb, anchor[bb, jj]]  # anchor's output row
+    for r in range(int(rank.max(initial=-1)) + 1):
+        at = rank == r
+        bs, js, ss, w = bb[at], jj[at], slot[at], weights[bb[at], jj[at]][:, None]
+        for step in range(t):  # one step at a time keeps the temporaries [M, D]
+            out[step, bs, ss] += x.data[step, bs, js] * w
     if ledger is not None:
         ledger.add(label, dense_macs=t * b * n * d)
     return DenseTensor(out.astype(np.float32))

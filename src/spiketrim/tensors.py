@@ -83,6 +83,14 @@ def as_array(x) -> np.ndarray:
     return np.asarray(x)
 
 
+def spike_counts(spikes: np.ndarray) -> np.ndarray:
+    """Per-element spike count over the leading time axis of a [T, ...]
+    binary array: uint8 while T <= 255, so no count can wrap, int64 beyond.
+    Counts are exact integers, so any mean taken from them has the bits of a
+    float64 mean over time."""
+    return spikes.sum(axis=0, dtype=np.uint8 if spikes.shape[0] <= 255 else np.int64)
+
+
 def topk_rows(keys: np.ndarray, k: int) -> np.ndarray:
     """[B, k] int64 indices of the k largest keys in each row of [B, N] real
     keys, each row ascending; ties favor the smaller index.

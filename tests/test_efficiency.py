@@ -18,11 +18,6 @@ class TestCounting:
         assert count_attention(0, 4, 2) == (0, 32)
         assert count_attention(5, 1, 2) == (5, 2)
 
-    def test_count_attention_data_dependent_flag(self):
-        assert count_attention(3, 4, 2, data_dependent_av=True, nnz_a_rows=5) == (12, 10)
-        with pytest.raises(ValueError):
-            count_attention(3, 4, 2, data_dependent_av=True)
-
     def test_overflow_checked(self):
         with pytest.raises(CountOverflowError):
             count_linear(2**40, 2**40)

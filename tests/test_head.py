@@ -90,6 +90,15 @@ class TestPooling:
         x = SpikeTensor(np.zeros((2, 3, 4, 5), dtype=np.uint8))
         assert (pool_tokens(x).data == 0.0).all()
 
+    @pytest.mark.parametrize("shape", [(4, 2, 64, 3), (300, 2, 3, 2)])
+    def test_counts_equal_float_mean(self, shape):
+        # T*N > 255 passes a uint8 token count; T > 255 passes a uint8 step count
+        rng = np.random.default_rng(5)
+        for x in (np.ones(shape, dtype=np.uint8),
+                  (rng.random(shape) < 0.4).astype(np.uint8)):
+            expected = x.astype(np.float64).mean(axis=(0, 2)).astype(np.float32)
+            assert pool_tokens(SpikeTensor(x)).data.tobytes() == expected.tobytes()
+
     def test_single_spike(self):
         x = np.zeros((2, 1, 3, 4), dtype=np.uint8)
         x[1, 0, 2, 1] = 1

@@ -48,6 +48,39 @@ class TestStep:
             lif_step(state, rng.normal(size=256))
             assert (state.membrane < params.v_th).all()
 
+    def test_equals_out_of_place_formula(self):
+        # the in-place update against the formula it replaced, bit for bit:
+        # negative currents (negative and -0.0 membranes), currents that land
+        # exactly on the threshold, and the reset of a spiking neuron
+        params = LifParams(tau=0.75, v_th=1.0)
+        rng = np.random.default_rng(3)
+        currents = rng.normal(scale=1.5, size=(12, 64))
+        currents[:, :8] = -0.0
+        currents[0, 8:16] = 1.0  # exactly v_th from a zero membrane
+        currents[1, 8:16] = -0.5
+        currents[2, 8:16] = 1.0 - 0.75 * -0.5  # back to exactly v_th
+        init = np.zeros(64)
+        init[:8] = -0.0  # -0.0 membranes fed -0.0 currents stay -0.0
+        state = LifState(params=params, membrane=init.copy())
+        membrane = init.copy()
+        for cur in currents:
+            m = params.tau * membrane + cur
+            expected = m >= params.v_th
+            membrane = m * (1.0 - expected)
+            spikes = lif_step(state, cur)
+            assert spikes.dtype == np.uint8
+            assert spikes.tobytes() == expected.astype(np.uint8).tobytes()
+            assert state.membrane.tobytes() == membrane.tobytes()
+        assert np.signbit(state.membrane[:8]).all()
+        assert (state.membrane[8:] < 0).any()
+
+    def test_updates_membrane_in_place(self):
+        state = LifState.zeros(LifParams(tau=0.5, v_th=1.0), (3,))
+        membrane = state.membrane
+        lif_step(state, np.array([0.4, 1.0, -2.0]))
+        assert state.membrane is membrane
+        assert membrane.tolist() == [0.4, 0.0, -2.0]
+
     def test_shape_mismatch(self):
         state = LifState.zeros(LifParams(), (3,))
         with pytest.raises(ShapeError):

@@ -4,6 +4,7 @@ import pytest
 from spiketrim.backbone import ModelConfig, StageConfig, init_model, ssa_forward
 from spiketrim.efficiency import SopLedger
 from spiketrim.neuron import LifParams
+from spiketrim.rng import stream
 from spiketrim.selection import (Strategy, apply_merge, build_keep_mask,
                                  build_merge_assignment, mask_csv, merged_ssa,
                                  pruned_ssa_batched)
@@ -76,6 +77,21 @@ class TestKeepMask:
         assert len({tuple(row) for row in m1.tolist()}) > 1  # samples differ
         other = build_keep_mask(scores, 0.5, Strategy(kind="random_prune", seed=100))
         assert (m1 != other).any()
+
+    def test_random_rows_equal_per_sample_streams(self):
+        # one batched draw equals each sample's own seeded stream
+        for b in (1, 3, 256):
+            for n in (1, 2, 64, 257):
+                scores = DenseTensor(np.zeros((b, n), dtype=np.float32))
+                for ratio in (0.01, 0.3, 1.0):
+                    if ratio * n < 1:
+                        continue
+                    anchor = build_keep_mask(scores, ratio,
+                                             Strategy(kind="random_prune", seed=b + n))
+                    k = int(ratio * n)
+                    for m in range(b):
+                        rows = stream(b + n, f"random_prune/{m}").sample_without_replacement(n, k)
+                        assert _kept(anchor[m]) == rows.tolist(), (b, n, ratio, m)
 
     def test_mask_invariants(self):
         # every row keeps floor(ratio * N) tokens at their own index, the rest -1
@@ -225,30 +241,61 @@ class TestMerge:
         assert out.shape == (2, 2, 2, 8)
 
     def test_matches_per_group_loop(self):
-        # reference: the dict-based per-anchor loop the array form replaced,
-        # with groups of eight and more where pairwise summation kicks in
+        # reference: the dict-based per-anchor loop the batched form replaced,
+        # with its per-group `w.sum()` and einsum
         rng = np.random.default_rng(12)
-        feats = SpikeTensor((rng.random((4, 3, 24, 6)) < 0.3).astype(np.uint8))
-        scores = DenseTensor(rng.random((3, 24)).astype(np.float32))
-        for ratio in (0.8, 0.4, 0.2):
-            anchor, weights = build_merge_assignment(scores, feats, ratio)
-            merged = apply_merge(feats, anchor, weights).data
-            for m in range(3):
-                zbar = feats.data[:, m].astype(np.float64).mean(axis=0)
-                norms = np.sqrt((zbar**2).sum(axis=-1))
-                xm = feats.data[:, m].astype(np.float64)
-                anchors = np.flatnonzero(anchor[m] == np.arange(24))
-                for ai, a in enumerate(anchors):
-                    group = _members(anchor[m], a)
-                    sims = [1.0 if j == a else
-                            0.0 if norms[j] == 0.0 or norms[a] == 0.0 else
-                            float(zbar[a] @ zbar[j] / (norms[a] * norms[j]))
-                            for j in group]
-                    w = np.exp(np.asarray(sims, dtype=np.float64))
-                    w /= w.sum()
-                    assert weights[m, group].tobytes() == w.tobytes()
-                    ref = np.einsum("j,tjd->td", w, xm[:, group]).astype(np.float32)
-                    assert merged[:, m, ai].tobytes() == ref.tobytes()
+        cases = [((rng.random((4, 3, 24, 6)) < 0.3), (0.8, 0.4, 0.2))]
+        # one group of more than 128 members, where numpy's pairwise sum
+        # recurses: the silent majority joins the first anchor
+        big = rng.random((4, 2, 160, 8)) < 0.3
+        big &= (rng.random((2, 160)) < 0.15)[None, :, :, None]
+        cases.append((big, (0.05,)))
+        # samples with different group-size mixes: dense, silent, sparse
+        mixed = rng.random((4, 3, 48, 8)) < np.array([0.6, 0.0, 0.05])[:, None, None]
+        cases.append((mixed, (0.5, 0.1)))
+        # an odd step count, whose time means are not dyadic
+        cases.append(((rng.random((3, 2, 40, 5)) < 0.4), (0.3,)))
+        sizes = set()
+        for spikes, ratios in cases:
+            feats = SpikeTensor(spikes.astype(np.uint8))
+            t, b, n, _ = feats.shape
+            scores = DenseTensor(rng.random((b, n)).astype(np.float32))
+            for ratio in ratios:
+                anchor, weights = build_merge_assignment(scores, feats, ratio)
+                merged = apply_merge(feats, anchor, weights).data
+                for m in range(b):
+                    zbar = feats.data[:, m].astype(np.float64).mean(axis=0)
+                    norms = np.sqrt((zbar**2).sum(axis=-1))
+                    xm = feats.data[:, m].astype(np.float64)
+                    anchors = np.flatnonzero(anchor[m] == np.arange(n))
+                    for ai, a in enumerate(anchors):
+                        group = _members(anchor[m], a)
+                        sizes.add(len(group))
+                        sims = [1.0 if j == a else
+                                0.0 if norms[j] == 0.0 or norms[a] == 0.0 else
+                                float(zbar[a] @ zbar[j] / (norms[a] * norms[j]))
+                                for j in group]
+                        w = np.exp(np.asarray(sims, dtype=np.float64))
+                        w /= w.sum()
+                        assert weights[m, group].tobytes() == w.tobytes()
+                        ref = np.einsum("j,tjd->td", w, xm[:, group]).astype(np.float32)
+                        assert merged[:, m, ai].tobytes() == ref.tobytes()
+        assert max(sizes) > 128 and {1, 2, 8} <= sizes
+
+    def test_apply_merge_accumulation_order(self):
+        # weights chosen so that three float64 orders of one group's sum round
+        # to different float32 values: only anchor first, then members
+        # ascending, gives 1 + 2^-23
+        ulp = 2.0**-52
+        w_anchor, w0, w1 = 1 + 2.0**-24 - ulp, 0.5 * ulp, ulp
+        pinned = (w_anchor + w0) + w1
+        assert np.float32(pinned) == np.float32(1 + 2.0**-23)
+        assert np.float32((w_anchor + w1) + w0) == np.float32((w0 + w1) + w_anchor) == 1.0
+        anchor = np.array([[2, 2, 2]])
+        weights = np.array([[w0, w1, w_anchor]])
+        merged = apply_merge(SpikeTensor(np.ones((2, 1, 3, 4), dtype=np.uint8)),
+                             anchor, weights)
+        assert (merged.data == np.float32(pinned)).all()
 
     def test_apply_merge_charges_every_token_once(self):
         rng = np.random.default_rng(13)

@@ -250,7 +250,11 @@ def merged_ssa(x: SpikeTensor, anchor: np.ndarray, weights: np.ndarray,
     """Merge, re-binarize through a LIF front end, then run the block on the
     reduced token set. Output has K tokens; downstream layers see fewer rows."""
     merged = apply_merge(x, anchor, weights, ledger, label=f"{w.label}.merge")
-    binary = lif_sequence(lif, merged.data.astype(np.float64))
+    # lif_step widens each float32 step exactly into its float64 membrane, so
+    # the merged tokens need no float64 copy, and they are dropped before the
+    # block runs
+    binary = lif_sequence(lif, merged.data)
+    del merged
     return ssa_forward(binary, w, ledger)
 
 

@@ -125,6 +125,7 @@ class ModelConfig:
                 if gh % 2 or gw % 2:
                     raise ConfigError(f"stage {i + 1} downsample does not divide grid {gh}x{gw}")
                 gh, gw = gh // 2, gw // 2
+        self.parse_insert()
 
     def grid_at(self, stage_index: int) -> tuple[int, int]:
         """Token grid (rows, cols) at the input of stage_index's blocks."""
@@ -134,9 +135,10 @@ class ModelConfig:
                 gh, gw = gh // 2, gw // 2
         return gh, gw
 
-    def parse_insert(self, spec: Optional[str] = None) -> tuple[int, int]:
-        """'S.B' -> (stage index 0-based, block index 0-based); S is 1-based."""
-        text = self.insert_block if spec is None else spec
+    def parse_insert(self) -> tuple[int, int]:
+        """insert_block 'S.B' -> (stage index 0-based, block index 0-based);
+        S is 1-based."""
+        text = self.insert_block
         try:
             s_str, b_str = text.split(".")
             s, b = int(s_str) - 1, int(b_str)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,12 +25,11 @@ from .data import (SyntheticSpec, bayes_accuracy, load_dataset, save_dataset,
                    synth_dataset)
 from .head import RidgeConfig, accuracies, eval_metrics, train_head
 from .neuron import LifParams
-from .selection import mask_csv
-from .sweep import (STRATEGY_KINDS_BY_NAME, SweepConfig, build_plan,
-                    parse_config_text, prepared_model, rows_csv, run_sweep,
-                    sop_rows, sweep_config_from_entries)
+from .selection import STRATEGY_KINDS, mask_csv
+from .sweep import (SweepConfig, build_plan, parse_config_text, prepared_model,
+                    rows_csv, run_sweep, sop_rows, sweep_config_from_entries)
 from .efficiency import energy_mj, sop_report_csv
-from .engine import forward_full
+from .engine import forward_prefix, forward_suffix
 from .selftest import run_selftest
 from .svg import emit_svg_lines
 from .uncertainty import SCORE_MODES, trajectory_csv
@@ -107,7 +107,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--model", help="model directory (default: train from --seed)")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--strategy", default="none",
-                   choices=sorted(STRATEGY_KINDS_BY_NAME))
+                   choices=sorted(STRATEGY_KINDS))
     p.add_argument("--keep-ratio", type=float, default=1.0)
     p.add_argument("--lambda", dest="lam", type=float, default=0.9)
     p.add_argument("--score-mode", default="full", choices=SCORE_MODES)
@@ -183,27 +183,24 @@ def _prepare_run(args):
 
 def _cmd_run(args) -> int:
     model, test = _prepare_run(args)
-    # one block for the plan, the ledger prefix and both dumps
-    insert_block = args.insert_block or model.config.insert_block
-    sweep_cfg = SweepConfig(lam=args.lam, insert_block=insert_block,
-                            score_mode=args.score_mode, seeds=(args.seed,))
+    if args.insert_block:  # overrides a loaded model's own block
+        model.config = replace(model.config, insert_block=args.insert_block)
+    sweep_cfg = SweepConfig(lam=args.lam, score_mode=args.score_mode, seeds=(args.seed,))
     plan = build_plan(sweep_cfg, args.strategy, args.keep_ratio, args.seed)
-    result = forward_full(model, test.frames, reduction=plan,
-                          capture=bool(args.dump_uncertainty or args.dump_mask))
+    prefix = forward_prefix(model, test.frames)
+    result = forward_suffix(model, prefix, plan)
     acc1, _ = accuracies(result.logits, test.labels)
-    s, b = model.config.parse_insert(insert_block)
-    prefix = f"stage{s + 1}.block{b}"
-    sa, mac = result.ledger.totals(prefix=prefix)
+    sa, mac = result.ledger.totals(prefix=prefix.label)
     print(f"strategy={args.strategy} keep_ratio={args.keep_ratio:.6f} seed={args.seed}")
     print(f"acc1={acc1:.6f}")
     print(f"block_sops={sa}")
     print(f"block_macs={mac}")
     print(f"energy_mj={energy_mj(result.ledger):.6f}")
     print(f"logits_sha256={hashlib.sha256(result.logits.data.tobytes()).hexdigest()}")
-    # with capture, the record always holds trajectories and an anchor array
+    # both dumps describe the insertion block's input tokens
     if args.dump_uncertainty:
         Path(args.dump_uncertainty).write_bytes(
-            trajectory_csv(result.selection.trajectories).encode())
+            trajectory_csv(prefix.trajectories(model.head)).encode())
         print(f"wrote {args.dump_uncertainty}")
     if args.dump_mask:
         Path(args.dump_mask).write_bytes(mask_csv(result.selection.anchor).encode())
@@ -245,8 +242,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_sop(args) -> int:
     spec = _spec_from(args)
     model_cfg = _model_config_from(args, spec, args.seed)
-    sweep_cfg = SweepConfig(seeds=(args.seed,), insert_block=args.insert_block,
-                            l2=args.l2)
+    sweep_cfg = SweepConfig(seeds=(args.seed,))
     model, _, test = prepared_model(model_cfg, spec, args.seed, args.l2)
     ratios = [float(s) for s in args.keep_ratios.split(",")]
     rows = sop_rows(model, test, ratios, args.seed, sweep_cfg)

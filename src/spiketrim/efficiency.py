@@ -80,10 +80,9 @@ class EnergyModel:
             raise ValueError("pj_per_op must be positive")
 
 
-def energy_mj(ledger: SopLedger, model: EnergyModel = EnergyModel(),
-              prefix: str = "") -> float:
+def energy_mj(ledger: SopLedger, model: EnergyModel = EnergyModel()) -> float:
     """Total energy in millijoule: (accumulates + MACs) * pJ/op * 1e-9."""
-    return ledger.total_ops(prefix) * model.pj_per_op * 1e-9
+    return ledger.total_ops() * model.pj_per_op * 1e-9
 
 
 def reduction_percent(base: int, reduced: int) -> float:

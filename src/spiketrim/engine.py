@@ -1,24 +1,26 @@
 """End-to-end forward pass with optional token reduction at one block, split
 at the insertion block.
 
+The insertion block is the model's (ModelConfig.insert_block); a reduction
+plan says only how to reduce there: a strategy and a keep ratio.
 forward_prefix validates the input and runs patch embedding, every stage's
 entry transform and the attention blocks before the insertion block.
 Nothing in it depends on the reduction plan, so one prefix serves every
-strategy and keep ratio at that block. forward_suffix copies the prefix's
-ledger entries, runs the insertion block (unreduced, pruned or merged), the
-remaining blocks, mean-pools the final tokens over time and space, and maps
-the pooled feature through the classifier head. It never modifies the
-prefix, so any number of suffixes can run on one. forward_full is
-forward_suffix on a fresh prefix.
+strategy and keep ratio. forward_suffix copies the prefix's ledger entries,
+runs the insertion block (unreduced, pruned or merged), the remaining
+blocks, mean-pools the final tokens over time and space, and maps the pooled
+feature through the classifier head. It never modifies the prefix, so any
+number of suffixes can run on one. forward_full is forward_suffix on a fresh
+prefix.
 
 The insertion block follows one rule. Strategy kind `none`, or keep ratio
 1.0 with any strategy, runs the block unreduced and records every token as
-kept. Any other plan scores the tokens (random_prune needs no scores),
-selects, and runs the prune or merge kernel. The uncertainty trajectories
-depend only on the prefix tokens and the head, so a prefix computes them at
-most once per head. The selection record (anchor array, merge weights,
-scores, and with capture the uncertainty trajectories) is returned when
-capture is set or the plan's strategy is not `none`.
+kept. Any other plan scores the tokens (random-prune needs no scores),
+selects, and runs the prune or merge kernel. Every result carries the
+selection record (anchor array, merge weights, scores). The uncertainty
+trajectories depend only on the prefix tokens and the head, so a prefix
+computes them at most once per head (Prefix.trajectories), for the scores
+and for any dump alike.
 
 A sweep (sweep.run_sweep) builds one prefix per seed on the test split. Its
 `none` cells and every cell at keep ratio 1.0 run the same unreduced suffix,
@@ -45,7 +47,6 @@ from .uncertainty import score_tokens, uncertainty_trajectories
 class ReductionPlan:
     strategy: Strategy
     keep_ratio: float = 1.0
-    insert_block: Optional[str] = None  # None = model config default
 
     def __post_init__(self):
         if not 0.0 < self.keep_ratio <= 1.0:
@@ -63,10 +64,9 @@ class SelectionDetail:
     pruned token, the token's own index when kept or an anchor, otherwise the
     anchor it was merged into; weights [B, N] float64 is set by merging only."""
 
-    anchor: Optional[np.ndarray] = None
+    anchor: np.ndarray
     weights: Optional[np.ndarray] = None
     scores: Optional[DenseTensor] = None
-    trajectories: Optional[np.ndarray] = None  # [T,B,N] float64
 
 
 @dataclass
@@ -74,7 +74,7 @@ class ForwardResult:
     logits: DenseTensor  # [B, C]
     stage_tokens: list[SpikeTensor]
     ledger: SopLedger
-    selection: Optional[SelectionDetail] = None
+    selection: SelectionDetail
 
 
 @dataclass
@@ -89,6 +89,11 @@ class Prefix:
     insert: tuple[int, int]  # (stage, block), 0-based
     _trajectories: Optional[tuple[HeadWeights, np.ndarray]] = field(
         default=None, repr=False)
+
+    @property
+    def label(self) -> str:
+        """Ledger label prefix of the insertion block, e.g. stage3.block1."""
+        return f"stage{self.insert[0] + 1}.block{self.insert[1]}"
 
     def trajectories(self, head: HeadWeights) -> np.ndarray:
         """[T,B,N] uncertainty of the insertion input under head, computed
@@ -130,10 +135,10 @@ def _enter_stage(model: Model, s: int, x: SpikeTensor, ledger: SopLedger) -> Spi
                              cfg.lif, ledger)
 
 
-def forward_prefix(model: Model, frames, insert_block: Optional[str] = None) -> Prefix:
-    """Everything before the insertion block (None = the model's default).
-    frames is [T0,B,n,H,W] with T0 == steps (event data) or T0 == 1 (static
-    input, repeated across steps)."""
+def forward_prefix(model: Model, frames) -> Prefix:
+    """Everything before the model's insertion block. frames is [T0,B,n,H,W]
+    with T0 == steps (event data) or T0 == 1 (static input, repeated across
+    steps)."""
     cfg = model.config
     arr = as_array(frames)
     if arr.ndim != 5:
@@ -146,7 +151,7 @@ def forward_prefix(model: Model, frames, insert_block: Optional[str] = None) -> 
     elif arr.shape[0] != cfg.steps:
         raise ConfigError(f"input steps {arr.shape[0]} != config steps {cfg.steps}")
 
-    insert = cfg.parse_insert(insert_block)
+    insert = cfg.parse_insert()
     ledger = SopLedger()
     x = patch_embed(frames, cfg.patch, model.embed_w, cfg.lif, ledger)
     stage_tokens: list[SpikeTensor] = []
@@ -160,34 +165,21 @@ def forward_prefix(model: Model, frames, insert_block: Optional[str] = None) -> 
     return Prefix(tokens=x, stage_tokens=stage_tokens, ledger=ledger, insert=insert)
 
 
-def forward_suffix(model: Model, prefix: Prefix, plan: Optional[ReductionPlan] = None,
-                   ledger: Optional[SopLedger] = None,
-                   capture: bool = False) -> ForwardResult:
+def forward_suffix(model: Model, prefix: Prefix,
+                   plan: Optional[ReductionPlan] = None) -> ForwardResult:
     """The insertion block under plan, the blocks after it, pool and head."""
     cfg = model.config
     s_ins, b_ins = prefix.insert
-    if plan is not None and cfg.parse_insert(plan.insert_block) != prefix.insert:
-        raise ConfigError(f"plan inserts at {plan.insert_block!r}, the prefix at "
-                          f"{s_ins + 1}.{b_ins}")
-    if ledger is None:
-        ledger = SopLedger()
+    ledger = SopLedger()
     for label, (sa, mac) in prefix.ledger.entries.items():
         ledger.add(label, sa, mac)
 
     x, block = prefix.tokens, model.blocks[s_ins][b_ins]
-    reduce = plan is not None and plan.reduces
-    detail = None
-    if capture or (plan is not None and plan.strategy.kind != "none"):
-        detail = SelectionDetail()
-    if capture:
-        # dumps always measure at the insertion block's input tokens
-        detail.trajectories = prefix.trajectories(model.head)
-    if reduce:
-        x = _reduced_block(model, prefix, block, plan, ledger, detail)
+    if plan is not None and plan.reduces:
+        x, detail = _reduced_block(model, prefix, block, plan, ledger)
     else:
-        if detail is not None:
-            b, n = x.shape[1], x.shape[2]
-            detail.anchor = np.tile(np.arange(n, dtype=np.int64), (b, 1))
+        b, n = x.shape[1], x.shape[2]
+        detail = SelectionDetail(anchor=np.tile(np.arange(n, dtype=np.int64), (b, 1)))
         x = ssa_forward(x, block, ledger)
 
     stage_tokens = list(prefix.stage_tokens)
@@ -203,30 +195,26 @@ def forward_suffix(model: Model, prefix: Prefix, plan: Optional[ReductionPlan] =
                          selection=detail)
 
 
-def forward_full(model: Model, frames, reduction: Optional[ReductionPlan] = None,
-                 ledger: Optional[SopLedger] = None,
-                 capture: bool = False) -> ForwardResult:
+def forward_full(model: Model, frames,
+                 reduction: Optional[ReductionPlan] = None) -> ForwardResult:
     """Full inference pass: forward_suffix on a fresh forward_prefix. frames
     is [T0,B,n,H,W] with T0 == steps (event data) or T0 == 1 (static input,
     repeated across steps)."""
-    insert_block = reduction.insert_block if reduction is not None else None
-    return forward_suffix(model, forward_prefix(model, frames, insert_block),
-                          reduction, ledger, capture)
+    return forward_suffix(model, forward_prefix(model, frames), reduction)
 
 
 def _reduced_block(model: Model, prefix: Prefix, block, plan: ReductionPlan,
-                   ledger: SopLedger, detail: SelectionDetail) -> SpikeTensor:
+                   ledger: SopLedger) -> tuple[SpikeTensor, SelectionDetail]:
     x, strat = prefix.tokens, plan.strategy
-    if strat.kind == "random_prune":
+    if strat.kind == "random-prune":
         # the seeded draw needs only the [B, N] shape
-        scores = DenseTensor(np.zeros(x.shape[1:3], dtype=np.float32))
+        scores, keys = None, DenseTensor(np.zeros(x.shape[1:3], dtype=np.float32))
     else:
-        scores = score_tokens(prefix.trajectories(model.head), lam=strat.lam,
-                              mode=strat.score_mode)
-        detail.scores = scores
-    if strat.kind == "uncert_merge":
-        detail.anchor, detail.weights = build_merge_assignment(scores, x, plan.keep_ratio)
-        return merged_ssa(x, detail.anchor, detail.weights, block, model.config.lif,
-                          ledger)
-    detail.anchor = build_keep_mask(scores, plan.keep_ratio, strat)
-    return pruned_ssa_batched(x, detail.anchor, block, ledger)
+        scores = keys = score_tokens(prefix.trajectories(model.head), lam=strat.lam,
+                                     mode=strat.score_mode)
+    if strat.kind == "uncert-merge":
+        anchor, weights = build_merge_assignment(scores, x, plan.keep_ratio)
+        return (merged_ssa(x, anchor, weights, block, model.config.lif, ledger),
+                SelectionDetail(anchor, weights, scores))
+    anchor = build_keep_mask(keys, plan.keep_ratio, strat)
+    return pruned_ssa_batched(x, anchor, block, ledger), SelectionDetail(anchor, scores=scores)

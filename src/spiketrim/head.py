@@ -14,7 +14,7 @@ import numpy as np
 
 from .backbone import HeadWeights, Model
 from .engine import ForwardResult, ReductionPlan, forward_full, pool_tokens
-from .tensors import DenseTensor
+from .tensors import DenseTensor, topk_rows
 
 
 @dataclass(frozen=True)
@@ -100,14 +100,6 @@ def predictions(logits: DenseTensor) -> np.ndarray:
     return np.argmax(logits.data, axis=-1)
 
 
-def topk_classes(logits: np.ndarray, k: int) -> np.ndarray:
-    """Top-k class indices per row, ranked by (-logit, class index)."""
-    c = logits.shape[-1]
-    order = np.lexsort((np.broadcast_to(np.arange(c), logits.shape), -logits),
-                       axis=-1)
-    return order[..., :k]
-
-
 def accuracies(logits: DenseTensor, labels: Sequence[int]) -> tuple[float, float]:
     """(top-1, top-5) accuracy of [B, C] logits against B labels. With fewer
     than five classes the top-5 value degenerates to top-1 by construction;
@@ -116,7 +108,7 @@ def accuracies(logits: DenseTensor, labels: Sequence[int]) -> tuple[float, float
     if y.shape[0] != logits.shape[0]:
         raise ValueError("label count does not match batch")
     acc1 = float((predictions(logits) == y).mean())
-    topk = topk_classes(logits.data, min(5, logits.shape[1]))
+    topk = topk_rows(logits.data, min(5, logits.shape[1]))
     acc5 = float((topk == y[:, None]).any(axis=1).mean())
     return acc1, acc5
 
@@ -124,6 +116,6 @@ def accuracies(logits: DenseTensor, labels: Sequence[int]) -> tuple[float, float
 def eval_metrics(model: Model, frames, labels: Sequence[int],
                  reduction: ReductionPlan | None = None) -> tuple[float, float, ForwardResult]:
     """(top-1 accuracy, top-5 accuracy, forward result) on one batch."""
-    result = forward_full(model, frames, reduction=reduction, ledger=None)
+    result = forward_full(model, frames, reduction=reduction)
     acc1, acc5 = accuracies(result.logits, labels)
     return acc1, acc5, result

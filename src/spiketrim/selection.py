@@ -43,8 +43,9 @@ from .neuron import LifParams, lif_sequence
 from .rng import permutations, stream_bases
 from .tensors import DenseTensor, SpikeTensor, spike_counts, topk_rows
 
-STRATEGY_KINDS = ("uncert_prune", "uncert_merge", "random_prune",
-                  "low_uncert_prune", "none")
+# one spelling for the API, the CLI and the CSV
+STRATEGY_KINDS = ("uncert-prune", "uncert-merge", "random-prune",
+                  "low-uncert-prune", "none")
 
 
 @dataclass(frozen=True)
@@ -76,8 +77,8 @@ def build_keep_mask(scores: DenseTensor, ratio: float, strategy: Strategy) -> np
     """[B, N] anchor array of per-sample keep sets from [B, N] scores: kept
     tokens hold their own index, pruned tokens -1.
 
-    uncert_prune keeps top scores, low_uncert_prune keeps top negated scores,
-    random_prune draws a seeded sample without replacement (stream keyed by
+    uncert-prune keeps top scores, low-uncert-prune keeps top negated scores,
+    random-prune draws a seeded sample without replacement (stream keyed by
     (strategy.seed, sample position), so keep sets are per-sample independent
     and reproducible); every sample's shuffle runs in one batched pass.
     """
@@ -85,12 +86,13 @@ def build_keep_mask(scores: DenseTensor, ratio: float, strategy: Strategy) -> np
         raise ShapeError(f"scores must be [B, N], got {scores.shape}")
     b, n = scores.shape
     k = n_keep(ratio, n)
-    if strategy.kind in ("uncert_prune", "uncert_merge"):
+    if strategy.kind in ("uncert-prune", "uncert-merge"):
         idx = topk_rows(scores.data, k)
-    elif strategy.kind == "low_uncert_prune":
+    elif strategy.kind == "low-uncert-prune":
         idx = topk_rows(-scores.data, k)
-    elif strategy.kind == "random_prune":
-        # row m is stream(seed, f"random_prune/{m}").sample_without_replacement(n, k)
+    elif strategy.kind == "random-prune":
+        # row m is stream(seed, f"random_prune/{m}").sample_without_replacement(n, k);
+        # the label is part of the stream address, so it keeps its spelling
         bases = stream_bases(strategy.seed, [f"random_prune/{m}" for m in range(b)])
         idx = np.sort(permutations(bases, n)[:, :k], axis=1)
     else:

@@ -161,9 +161,9 @@ def check_token_logits_rows():
 
 def check_low_uncert_keep():
     scores = DenseTensor(np.array([[0.9, 0.1, 0.5, 0.5, 0.3]], dtype=np.float32))
-    lo = build_keep_mask(scores, 0.6, Strategy(kind="low_uncert_prune"))
+    lo = build_keep_mask(scores, 0.6, Strategy(kind="low-uncert-prune"))
     assert lo[0].tolist() == [-1, 1, 2, -1, 4]
-    hi = build_keep_mask(scores, 0.6, Strategy(kind="uncert_prune"))
+    hi = build_keep_mask(scores, 0.6, Strategy(kind="uncert-prune"))
     assert hi[0].tolist() == [0, -1, 2, 3, -1]
 
 

@@ -1,14 +1,17 @@
 """Experiment sweeps over selection strategies, keep ratios, and seeds.
 
-Each seed synthesizes its dataset, initializes its model and fits the ridge
-head on the unreduced train split. Every cell of the seed then evaluates the
-test split with the cell's reduction applied at the insertion block. The
-blocks before that block do not depend on the reduction, so they run once per
-seed (engine.forward_prefix), and the cells that leave the block unreduced
-(strategy `none`, or keep ratio 1.0) share one evaluation; a cell's numbers
-are the same as those of a full forward pass under its plan. Rows are emitted
-in sorted (strategy, ratio, seed) order and all real numbers print with fixed
-six decimals, so the CSV is byte-stable for equal configs.
+A sweep config's insert_block, when set, replaces the model config's
+insertion block once before any seed runs; plans carry only a strategy and a
+keep ratio. Each seed synthesizes its dataset, initializes its model and fits
+the ridge head on the unreduced train split. Every cell of the seed then
+evaluates the test split with the cell's reduction applied at the insertion
+block. The blocks before that block do not depend on the reduction, so they
+run once per seed (engine.forward_prefix), and the cells that leave the
+block unreduced (strategy `none`, or keep ratio 1.0) share one evaluation; a
+cell's numbers are the same as those of a full forward pass under its plan.
+Rows are emitted in sorted (strategy, ratio, seed) order and all real
+numbers print with fixed six decimals, so the CSV is byte-stable for equal
+configs.
 """
 from __future__ import annotations
 
@@ -17,15 +20,12 @@ from typing import Optional, Sequence
 
 from .backbone import Model, ModelConfig, init_model
 from .data import Dataset, SyntheticSpec, synth_dataset
-from .efficiency import EnergyModel, energy_mj, reduction_percent
+from .efficiency import energy_mj, reduction_percent
 from .engine import Prefix, ReductionPlan, forward_prefix, forward_suffix
 from .errors import ConfigError
 from .head import RidgeConfig, accuracies, train_head
 from .selection import STRATEGY_KINDS, Strategy
-
-# external (CLI/CSV) strategy names <-> internal kinds
-STRATEGY_NAMES = {kind: kind.replace("_", "-") for kind in STRATEGY_KINDS}
-STRATEGY_KINDS_BY_NAME = {name: kind for kind, name in STRATEGY_NAMES.items()}
+from .uncertainty import SCORE_MODES
 
 DEFAULT_RATIOS = (1.0, 0.8, 0.6, 0.4, 0.2)
 DEFAULT_SEEDS = (1, 2, 3, 4, 5)
@@ -39,16 +39,21 @@ class SweepConfig:
     keep_ratios: tuple[float, ...] = DEFAULT_RATIOS
     seeds: tuple[int, ...] = DEFAULT_SEEDS
     lam: float = 0.9
-    insert_block: Optional[str] = None  # None = model default
+    insert_block: Optional[str] = None  # None = the model config's own
     score_mode: str = "full"
     l2: float = 1e-3
 
     def __post_init__(self):
-        if not self.seeds:
-            raise ConfigError("at least one seed required")
+        for name, values in (("seed", self.seeds), ("strategy", self.strategies),
+                             ("keep ratio", self.keep_ratios)):
+            if not values:
+                raise ConfigError(f"at least one {name} required")
         for name in self.strategies:
-            if name not in STRATEGY_KINDS_BY_NAME:
+            if name not in STRATEGY_KINDS:
                 raise ConfigError(f"unknown strategy {name!r}")
+        if self.score_mode not in SCORE_MODES:
+            raise ConfigError(f"unknown score mode {self.score_mode!r}; "
+                              f"expected one of {', '.join(SCORE_MODES)}")
         for r in self.keep_ratios:
             if not 0.0 < r <= 1.0:
                 raise ConfigError(f"keep ratio {r} outside (0, 1]")
@@ -111,11 +116,10 @@ def sweep_config_from_entries(entries: dict[str, str]) -> SweepConfig:
 
 
 def build_plan(cfg: SweepConfig, strategy_name: str, ratio: float, seed: int) -> ReductionPlan:
-    kind = STRATEGY_KINDS_BY_NAME[strategy_name]
     return ReductionPlan(
-        strategy=Strategy(kind=kind, lam=cfg.lam, seed=seed, score_mode=cfg.score_mode),
+        strategy=Strategy(kind=strategy_name, lam=cfg.lam, seed=seed,
+                          score_mode=cfg.score_mode),
         keep_ratio=ratio,
-        insert_block=cfg.insert_block,
     )
 
 
@@ -128,33 +132,32 @@ def prepared_model(model_config: ModelConfig, spec: SyntheticSpec, seed: int,
     return model, train, test
 
 
-def evaluate_cell(model: Model, prefix: Prefix, labels, plan: Optional[ReductionPlan],
-                  insert_prefix: str) -> tuple[float, float, int, float]:
+def evaluate_cell(model: Model, prefix: Prefix, labels,
+                  plan: Optional[ReductionPlan]) -> tuple[float, float, int, float]:
     result = forward_suffix(model, prefix, plan)
     acc1, acc5 = accuracies(result.logits, labels)
     if model.config.num_classes < 5:
         acc5 = acc1  # top-5 is vacuous below five classes; column holds acc1
-    block_sops, _ = result.ledger.totals(prefix=insert_prefix)
+    block_sops, _ = result.ledger.totals(prefix=prefix.label)
     return acc1, acc5, block_sops, energy_mj(result.ledger)
 
 
 def run_sweep(cfg: SweepConfig, model_config: ModelConfig,
               spec: SyntheticSpec) -> list[ResultRow]:
-    s, b = model_config.parse_insert(cfg.insert_block)
-    insert_prefix = f"stage{s + 1}.block{b}"
+    if cfg.insert_block is not None:
+        model_config = replace(model_config, insert_block=cfg.insert_block)
     rows: list[ResultRow] = []
     for seed in cfg.seeds:
         model, _, test = prepared_model(model_config, spec, seed, cfg.l2)
-        prefix = forward_prefix(model, test.frames, cfg.insert_block)
+        prefix = forward_prefix(model, test.frames)
         unreduced = None  # the cell every unreduced plan gives
         for strategy_name in cfg.strategies:
             for ratio in cfg.keep_ratios:
                 plan = build_plan(cfg, strategy_name, ratio, seed)
                 if plan.reduces:
-                    cell = evaluate_cell(model, prefix, test.labels, plan, insert_prefix)
+                    cell = evaluate_cell(model, prefix, test.labels, plan)
                 elif unreduced is None:
-                    cell = unreduced = evaluate_cell(model, prefix, test.labels, plan,
-                                                     insert_prefix)
+                    cell = unreduced = evaluate_cell(model, prefix, test.labels, plan)
                 else:
                     cell = unreduced
                 acc1, acc5, block_sops, e_mj = cell
@@ -180,17 +183,16 @@ def rows_csv(rows: Sequence[ResultRow], num_classes: int) -> str:
 
 def sop_rows(model: Model, test: Dataset, ratios: Sequence[float], seed: int,
              cfg: SweepConfig) -> list[dict]:
-    """Block-level efficiency report rows for the pruned insertion block."""
-    s, b = model.config.parse_insert(cfg.insert_block)
-    insert_prefix = f"stage{s + 1}.block{b}"
-    prefix = forward_prefix(model, test.frames, cfg.insert_block)
+    """Block-level efficiency report rows for the model's pruned insertion
+    block."""
+    prefix = forward_prefix(model, test.frames)
     rows = []
     base_total = None
     for ratio in sorted(ratios, reverse=True):
         name = "none" if ratio == 1.0 else "uncert-prune"
         plan = build_plan(cfg, name, ratio, seed)
         result = forward_suffix(model, prefix, plan)
-        sa, mac = result.ledger.totals(prefix=insert_prefix)
+        sa, mac = result.ledger.totals(prefix=prefix.label)
         total = sa + mac
         if base_total is None:
             base_total = total
@@ -202,6 +204,6 @@ def sop_rows(model: Model, test: Dataset, ratios: Sequence[float], seed: int,
             # block-level reduction, whole-network energy: pruning one block
             # cuts its ops sharply while total power moves only slightly
             "reduction_pct": reduction_percent(base_total, total),
-            "energy_mj": energy_mj(result.ledger, EnergyModel()),
+            "energy_mj": energy_mj(result.ledger),
         })
     return rows

@@ -90,7 +90,7 @@ def test_criterion_2_identity_invariant():
 def test_criterion_3_selection_trend(prepared):
     t0 = time.time()
     accs = {}
-    for kind in ("uncert_prune", "random_prune", "low_uncert_prune"):
+    for kind in ("uncert-prune", "random-prune", "low-uncert-prune"):
         for ratio in (0.4, 0.2):
             for seed in SEEDS:
                 model, test = prepared[seed]
@@ -101,12 +101,12 @@ def test_criterion_3_selection_trend(prepared):
         return float(np.mean([accs[(kind, ratio, s)] for s in SEEDS]))
 
     for ratio in (0.4, 0.2):
-        u, r, lo = (mean("uncert_prune", ratio), mean("random_prune", ratio),
-                    mean("low_uncert_prune", ratio))
+        u, r, lo = (mean("uncert-prune", ratio), mean("random-prune", ratio),
+                    mean("low-uncert-prune", ratio))
         assert u >= r >= lo, f"ordering violated at ratio {ratio}: {u}, {r}, {lo}"
-    gap = mean("uncert_prune", 0.2) - mean("random_prune", 0.2)
+    gap = mean("uncert-prune", 0.2) - mean("random-prune", 0.2)
     assert gap >= MIN_GAP, f"gap at 0.2 is {gap:.4f} < {MIN_GAP}"
-    strict = sum(accs[("uncert_prune", 0.2, s)] > accs[("random_prune", 0.2, s)]
+    strict = sum(accs[("uncert-prune", 0.2, s)] > accs[("random-prune", 0.2, s)]
                  for s in SEEDS)
     assert strict >= MIN_STRICT, f"uncert>random strict in only {strict}/5 seeds"
     report("criterion 3 (selection-strategy trend)", t0, 300.0,
@@ -119,9 +119,9 @@ def test_criterion_4_prune_beats_merge(prepared):
     for seed in SEEDS:
         model, test = prepared[seed]
         prune.append(_acc(model, test,
-                          ReductionPlan(Strategy(kind="uncert_prune", seed=seed), 0.6)))
+                          ReductionPlan(Strategy(kind="uncert-prune", seed=seed), 0.6)))
         merge.append(_acc(model, test,
-                          ReductionPlan(Strategy(kind="uncert_merge", seed=seed), 0.6)))
+                          ReductionPlan(Strategy(kind="uncert-merge", seed=seed), 0.6)))
     assert np.mean(prune) >= np.mean(merge), (prune, merge)
     report("criterion 4 (prune >= merge at keep 0.6)", t0, 300.0,
            f"prune={np.mean(prune):.4f} merge={np.mean(merge):.4f}")
@@ -133,10 +133,10 @@ def test_criterion_5_score_ablations(prepared):
     for seed in SEEDS:
         model, test = prepared[seed]
         full.append(_acc(model, test,
-                         ReductionPlan(Strategy(kind="uncert_prune", seed=seed,
+                         ReductionPlan(Strategy(kind="uncert-prune", seed=seed,
                                                 lam=0.9), 0.6)))
         std_only.append(_acc(model, test,
-                             ReductionPlan(Strategy(kind="uncert_prune", seed=seed,
+                             ReductionPlan(Strategy(kind="uncert-prune", seed=seed,
                                                     score_mode="std_only"), 0.6)))
     assert np.mean(full) >= np.mean(std_only), (full, std_only)
 
@@ -146,8 +146,8 @@ def test_criterion_5_score_ablations(prepared):
     u = uncertainty_trajectories(stage, model.head)
     lam0 = score_tokens(u, lam=0.0, mode="full")
     mean_only = score_tokens(u, mode="mean_only")
-    m_lam0 = build_keep_mask(lam0, 0.6, Strategy(kind="uncert_prune"))
-    m_mean = build_keep_mask(mean_only, 0.6, Strategy(kind="uncert_prune"))
+    m_lam0 = build_keep_mask(lam0, 0.6, Strategy(kind="uncert-prune"))
+    m_mean = build_keep_mask(mean_only, 0.6, Strategy(kind="uncert-prune"))
     assert (m_lam0 == m_mean).all()
     report("criterion 5 (temporal-score ablations)", t0, 300.0,
            f"full={np.mean(full):.4f} std_only={np.mean(std_only):.4f}")
@@ -156,7 +156,7 @@ def test_criterion_5_score_ablations(prepared):
 def test_criterion_6_sop_structure(prepared):
     t0 = time.time()
     model, test = prepared[1]
-    s, b = model.config.parse_insert(None)
+    s, b = model.config.parse_insert()
     prefix = f"stage{s + 1}.block{b}"
     sops, totals = [], []
     for ratio in (1.0, 0.8, 0.6, 0.4):
@@ -184,8 +184,7 @@ def test_criterion_7_ground_truth_recovery(prepared):
         model, test = prepared[seed]
         res = forward_full(
             model, test.frames,
-            ReductionPlan(Strategy(kind="uncert_prune", seed=seed), 0.99),
-            capture=True)
+            ReductionPlan(Strategy(kind="uncert-prune", seed=seed), 0.99))
         top_rows = topk_rows(res.selection.scores.data, SPEC.signature_tokens)
         for m, row in enumerate(top_rows.tolist()):
             truth = set(test.signature_positions[int(test.labels[m])])

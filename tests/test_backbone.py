@@ -45,13 +45,12 @@ class TestConfig:
 
     def test_insert_block_parse(self):
         cfg = small_config()
-        assert cfg.parse_insert("2.1") == (1, 1)
-        with pytest.raises(ConfigError):
-            cfg.parse_insert("3.0")
-        with pytest.raises(ConfigError):
-            cfg.parse_insert("2.2")
-        with pytest.raises(ConfigError):
-            cfg.parse_insert("nonsense")
+        assert cfg.parse_insert() == (1, 1)
+        assert small_config(insert_block="1.0").parse_insert() == (0, 0)
+        # the config rejects a block outside its layout when it is built
+        for block in ("3.0", "2.2", "nonsense"):
+            with pytest.raises(ConfigError):
+                small_config(insert_block=block)
 
     def test_stage_scales_length(self):
         with pytest.raises(ConfigError):

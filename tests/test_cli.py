@@ -214,6 +214,40 @@ class TestSweepSop:
         assert "keep_ratio" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_sweep_config_insert_block_beats_flag(self, tmp_path):
+        # a config file's insert_block wins over --insert-block
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("insert_block=2.0\n")
+        grid = ["--strategies", "uncert-prune,none", "--ratios", "1.0,0.5",
+                "--seeds", "1", *SMALL]
+
+        def csv(name, *flags):
+            out = tmp_path / name
+            assert run_cli(["sweep", "--out", str(out), *grid, *flags])[0] == 0
+            return (out / "results.csv").read_bytes()
+
+        both = csv("both", "--config", str(cfg), "--insert-block", "3.1")
+        assert both == csv("flag20", "--insert-block", "2.0")
+        assert both != csv("flag31", "--insert-block", "3.1")
+
+    @pytest.mark.parametrize("config, flags, message", [
+        ("score_mode=bogus\nstrategies=none,random-prune\nseeds=1\n", [], "bogus"),
+        ("score_mode=bogus\nstrategies=uncert-prune\nseeds=1\n", [], "bogus"),
+        ("seeds=1\n", ["--strategies", ","], "strategy"),
+    ], ids=["unscored-mode", "scored-mode", "empty-strategies"])
+    def test_sweep_bad_grid_exits_2_before_training(self, tmp_path, capsys, monkeypatch,
+                                                    config, flags, message):
+        from spiketrim import sweep
+        monkeypatch.setattr(sweep, "train_head", lambda *a, **k: pytest.fail("trained"))
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(config)
+        code, _ = run_cli(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                           *flags, *SMALL])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and message in err
+        assert not (tmp_path / "o").exists()
+
     def test_sweep_cross_process_determinism(self, tmp_path):
         # separate interpreter processes (fresh hash seeds) must agree byte-wise
         import subprocess

@@ -5,13 +5,21 @@ from dataclasses import replace
 from spiketrim import engine, neuron, selection, uncertainty
 from spiketrim.backbone import ModelConfig, StageConfig, init_model
 from spiketrim.data import SyntheticSpec, synth_dataset
-from spiketrim.efficiency import SopLedger
-from spiketrim.engine import (ForwardResult, ReductionPlan, forward_full,
-                              forward_prefix, forward_suffix, repeat_static)
+from spiketrim.engine import (ReductionPlan, forward_full, forward_prefix,
+                              forward_suffix, repeat_static)
 from spiketrim.errors import ConfigError
 from spiketrim.head import train_head
 from spiketrim.selection import Strategy
 from spiketrim.tensors import SpikeTensor
+from spiketrim.uncertainty import score_tokens, uncertainty_trajectories
+
+KINDS = ("uncert-prune", "uncert-merge", "random-prune", "low-uncert-prune", "none")
+
+
+def kind_ids(value):
+    """Parameter IDs spell strategy kinds with underscores, as the suite's
+    recorded test IDs do."""
+    return value.replace("-", "_") if isinstance(value, str) else None
 
 
 def tiny_config(seed=2, **kw):
@@ -63,14 +71,13 @@ class TestForward:
 
 
 class TestIdentityInvariant:
-    @pytest.mark.parametrize("kind", ["uncert_prune", "low_uncert_prune",
-                                      "random_prune", "uncert_merge", "none"])
+    @pytest.mark.parametrize("kind", KINDS, ids=kind_ids)
     def test_ratio_one_is_noop(self, kind):
         model = init_model(tiny_config())
         x = tiny_inputs()
         base = forward_full(model, x)
         plan = ReductionPlan(Strategy(kind=kind, seed=5), keep_ratio=1.0)
-        red = forward_full(model, x, plan, capture=True)
+        red = forward_full(model, x, plan)
         assert red.logits.data.tobytes() == base.logits.data.tobytes()
         assert red.ledger.entries == base.ledger.entries
         for st_a, st_b in zip(red.stage_tokens, base.stage_tokens):
@@ -97,8 +104,8 @@ class TestReducedForward:
 
     def test_prune_keeps_token_count(self):
         model, test = self._trained()
-        plan = ReductionPlan(Strategy(kind="uncert_prune"), 0.5)
-        res = forward_full(model, test.frames, plan, capture=True)
+        plan = ReductionPlan(Strategy(kind="uncert-prune"), 0.5)
+        res = forward_full(model, test.frames, plan)
         assert res.stage_tokens[-1].shape[2] == 64
         anchor = res.selection.anchor
         assert anchor.shape == (32, 64)
@@ -107,8 +114,8 @@ class TestReducedForward:
 
     def test_merge_reduces_token_count(self):
         model, test = self._trained()
-        plan = ReductionPlan(Strategy(kind="uncert_merge"), 0.5)
-        res = forward_full(model, test.frames, plan, capture=True)
+        plan = ReductionPlan(Strategy(kind="uncert-merge"), 0.5)
+        res = forward_full(model, test.frames, plan)
         assert res.stage_tokens[-1].shape[2] == 32
         anchor, weights = res.selection.anchor, res.selection.weights
         assert ((anchor == np.arange(64)).sum(axis=1) == 32).all()
@@ -116,20 +123,19 @@ class TestReducedForward:
         assert weights.shape == (32, 64) and (weights > 0).all()
 
     def test_capture_provides_trajectories(self):
+        # the uncertainty dump reads the prefix's trajectories
         model, test = self._trained()
-        plan = ReductionPlan(Strategy(kind="uncert_prune"), 0.5)
-        res = forward_full(model, test.frames, plan, capture=True)
-        u = res.selection.trajectories
+        u = forward_prefix(model, test.frames).trajectories(model.head)
         assert u.shape == (4, 32, 64)
         assert (u > 0).all() and (u <= 1).all()
 
     def test_block_ops_monotone_in_ratio(self):
         model, test = self._trained()
-        s, b = model.config.parse_insert(None)
-        prefix = f"stage{s + 1}.block{b}"
+        prefix = forward_prefix(model, test.frames).label
+        assert prefix == "stage3.block1"
         totals = []
         for ratio in (1.0, 0.6, 0.2):
-            plan = ReductionPlan(Strategy(kind="uncert_prune"), ratio)
+            plan = ReductionPlan(Strategy(kind="uncert-prune"), ratio)
             res = forward_full(model, test.frames, plan)
             totals.append(res.ledger.total_ops(prefix))
         assert totals[0] > totals[1] > totals[2]
@@ -137,21 +143,22 @@ class TestReducedForward:
     def test_random_prune_needs_no_head_scores(self):
         model = init_model(tiny_config())
         x = tiny_inputs()
-        plan = ReductionPlan(Strategy(kind="random_prune", seed=3), 0.5)
-        res = forward_full(model, x, plan, capture=True)
+        plan = ReductionPlan(Strategy(kind="random-prune", seed=3), 0.5)
+        res = forward_full(model, x, plan)
         assert ((res.selection.anchor >= 0).sum(axis=1) == 8).all()
         assert res.selection.scores is None
 
     def test_capture_measures_insertion_input_for_any_strategy(self):
         # the dump point is the insertion block's input, independent of the
-        # reduction actually applied there
+        # reduction actually applied there: the prefix's trajectories are the
+        # ones a reduced pass scores
         model, test = self._trained()
-        res_none = forward_full(model, test.frames, None, capture=True)
-        plan = ReductionPlan(Strategy(kind="uncert_prune"), 0.5)
-        res_prune = forward_full(model, test.frames, plan, capture=True)
-        assert res_none.selection.trajectories is not None
-        assert (res_none.selection.trajectories
-                == res_prune.selection.trajectories).all()
+        prefix = forward_prefix(model, test.frames)
+        u = prefix.trajectories(model.head)
+        assert u.tobytes() == uncertainty_trajectories(prefix.tokens, model.head).tobytes()
+        plan = ReductionPlan(Strategy(kind="uncert-prune"), 0.5)
+        for res in (forward_full(model, test.frames, plan), forward_suffix(model, prefix, plan)):
+            assert res.selection.scores.data.tobytes() == score_tokens(u, lam=0.9).data.tobytes()
 
     def test_merge_before_downsampling_rejected(self):
         cfg = tiny_config(stages=(StageConfig(channels=8, blocks=1, w_scales=0.125),
@@ -160,18 +167,15 @@ class TestReducedForward:
                           insert_block="1.0")
         model = init_model(cfg)
         x = tiny_inputs()
-        prune = ReductionPlan(Strategy(kind="uncert_prune"), 0.5)
+        prune = ReductionPlan(Strategy(kind="uncert-prune"), 0.5)
         assert forward_full(model, x, prune).stage_tokens[-1].shape[2] == 4
         with pytest.raises(ConfigError):
-            forward_full(model, x, ReductionPlan(Strategy(kind="uncert_merge"), 0.5))
+            forward_full(model, x, ReductionPlan(Strategy(kind="uncert-merge"), 0.5))
         # the same on a prefix that already served a pruning suffix
         prefix = forward_prefix(model, x)
         assert forward_suffix(model, prefix, prune).stage_tokens[-1].shape[2] == 4
         with pytest.raises(ConfigError):
-            forward_suffix(model, prefix, ReductionPlan(Strategy(kind="uncert_merge"), 0.5))
-
-
-KINDS = ("uncert_prune", "uncert_merge", "random_prune", "low_uncert_prune", "none")
+            forward_suffix(model, prefix, ReductionPlan(Strategy(kind="uncert-merge"), 0.5))
 
 
 @pytest.fixture(scope="module")
@@ -184,12 +188,9 @@ def trained():
 
 
 def _selection_bytes(sel):
-    if sel is None:
-        return None
     return tuple(None if a is None else (a.dtype.str, a.shape, a.tobytes())
                  for a in (sel.anchor, sel.weights,
-                           None if sel.scores is None else sel.scores.data,
-                           sel.trajectories))
+                           None if sel.scores is None else sel.scores.data))
 
 
 def _result_bytes(res):
@@ -200,24 +201,28 @@ def _result_bytes(res):
 
 class TestPrefixSuffix:
     @pytest.mark.parametrize("insert_block", ["1.0", "3.1"])
-    @pytest.mark.parametrize("capture", [False, True])
-    def test_shared_prefix_equals_forward_full(self, trained, insert_block, capture):
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_shared_prefix_equals_forward_full(self, trained, insert_block, warm):
         # one prefix serves every plan in turn, as in a sweep; each suffix must
-        # give the bits of a fresh full pass, ledger insertion order included
+        # give the bits of a fresh full pass, ledger insertion order included,
+        # whether or not a dump filled the prefix's trajectories first
         model, test = trained
-        prefix = forward_prefix(model, test.frames, insert_block)
+        model = replace(model, config=replace(model.config, insert_block=insert_block))
+        prefix = forward_prefix(model, test.frames)
+        if warm:
+            prefix.trajectories(model.head)
         for kind in KINDS:
             for ratio in (1.0, 0.6, 0.2):
-                plan = ReductionPlan(Strategy(kind=kind, seed=3), ratio, insert_block)
-                full = forward_full(model, test.frames, plan, capture=capture)
-                split = forward_suffix(model, prefix, plan, capture=capture)
+                plan = ReductionPlan(Strategy(kind=kind, seed=3), ratio)
+                full = forward_full(model, test.frames, plan)
+                split = forward_suffix(model, prefix, plan)
                 assert _result_bytes(split) == _result_bytes(full), (kind, ratio)
 
     def test_prefix_stops_at_insertion_block(self, trained):
         model, test = trained
-        prefix = forward_prefix(model, test.frames, "3.1")
+        prefix = forward_prefix(model, test.frames)
         full = forward_full(model, test.frames)
-        assert prefix.insert == (2, 1)
+        assert prefix.insert == (2, 1) and prefix.label == "stage3.block1"
         assert [t.data.tobytes() for t in prefix.stage_tokens] == \
             [t.data.tobytes() for t in full.stage_tokens[:2]]
         assert list(prefix.ledger.entries) == [
@@ -229,24 +234,14 @@ class TestPrefixSuffix:
         before = (prefix.tokens.data.tobytes(),
                   [t.data.tobytes() for t in prefix.stage_tokens],
                   dict(prefix.ledger.entries))
-        for kind in ("uncert_merge", "uncert_prune"):
-            res = forward_suffix(model, prefix, ReductionPlan(Strategy(kind=kind), 0.4),
-                                 capture=True)
+        prefix.trajectories(model.head)
+        for kind in ("uncert-merge", "uncert-prune"):
+            res = forward_suffix(model, prefix, ReductionPlan(Strategy(kind=kind), 0.4))
             res.ledger.add("stage1.block0.qkv", 1, 1)  # the result's ledger is its own
         after = (prefix.tokens.data.tobytes(),
                  [t.data.tobytes() for t in prefix.stage_tokens],
                  dict(prefix.ledger.entries))
         assert after == before
-
-    def test_caller_ledger_accumulates(self, trained):
-        model, test = trained
-        ledger = SopLedger()
-        ledger.add("earlier", 5, 7)
-        prefix = forward_prefix(model, test.frames)
-        res = forward_suffix(model, prefix, None, ledger=ledger)
-        assert res.ledger is ledger
-        expected = forward_full(model, test.frames).ledger.entries
-        assert list(ledger.entries.items()) == [("earlier", (5, 7))] + list(expected.items())
 
     def test_trajectories_computed_once_per_prefix(self, trained, monkeypatch):
         model, test = trained
@@ -259,9 +254,9 @@ class TestPrefixSuffix:
 
         monkeypatch.setattr(uncertainty, "token_logits", counting)
         prefix = forward_prefix(model, test.frames)
-        for kind in ("uncert_prune", "low_uncert_prune", "uncert_merge"):
-            forward_suffix(model, prefix, ReductionPlan(Strategy(kind=kind), 0.5),
-                           capture=True)
+        for kind in ("uncert-prune", "low-uncert-prune", "uncert-merge"):
+            forward_suffix(model, prefix, ReductionPlan(Strategy(kind=kind), 0.5))
+            prefix.trajectories(model.head)
         assert len(calls) == 1
 
     def test_trajectories_follow_the_head(self, trained):
@@ -271,13 +266,6 @@ class TestPrefixSuffix:
         other = init_model(ModelConfig(seed=6)).head
         assert prefix.trajectories(model.head) is u
         assert prefix.trajectories(other).tobytes() != u.tobytes()
-
-    def test_plan_at_another_block_rejected(self, trained):
-        model, test = trained
-        prefix = forward_prefix(model, test.frames, "3.1")
-        with pytest.raises(ConfigError):
-            forward_suffix(model, prefix,
-                           ReductionPlan(Strategy(kind="uncert_prune"), 0.5, "3.0"))
 
 
 # Names the benchmark's tracer wraps where forward_full looks them up; a
@@ -293,14 +281,14 @@ PRUNE_CALLS = {"engine.score_tokens", "engine.build_keep_mask",
 
 @pytest.mark.parametrize("kind, expected", [
     ("none", {"neuron.lif_step"}),
-    ("uncert_prune", PRUNE_CALLS),
-    ("low_uncert_prune", PRUNE_CALLS),
-    ("random_prune", PRUNE_CALLS - {"engine.score_tokens"}),
-    ("uncert_merge", {"engine.score_tokens", "engine.build_merge_assignment",
+    ("uncert-prune", PRUNE_CALLS),
+    ("low-uncert-prune", PRUNE_CALLS),
+    ("random-prune", PRUNE_CALLS - {"engine.score_tokens"}),
+    ("uncert-merge", {"engine.score_tokens", "engine.build_merge_assignment",
                       "engine.merged_ssa", "selection.apply_merge",
                       "selection.ssa_forward", "selection.lif_sequence",
                       "neuron.lif_step"}),
-])
+], ids=kind_ids)
 def test_forward_full_calls_traced_names(monkeypatch, kind, expected):
     calls = set()
 
@@ -319,7 +307,8 @@ def test_forward_full_calls_traced_names(monkeypatch, kind, expected):
 
 
 def test_capture_computes_token_logits_once(monkeypatch):
-    # the dump's trajectories and the scores share one [T,B,N] array
+    # the dump's trajectories and the scores share one [T,B,N] array when the
+    # dump reads the prefix that served the reduced suffix
     calls = []
     token_logits = uncertainty.token_logits
 
@@ -329,6 +318,8 @@ def test_capture_computes_token_logits_once(monkeypatch):
 
     monkeypatch.setattr(uncertainty, "token_logits", counting)
     model = init_model(tiny_config())
-    forward_full(model, tiny_inputs(), ReductionPlan(Strategy(kind="uncert_prune"), 0.5),
-                 capture=True)
+    prefix = forward_prefix(model, tiny_inputs())
+    res = forward_suffix(model, prefix, ReductionPlan(Strategy(kind="uncert-prune"), 0.5))
+    dump = prefix.trajectories(model.head)
+    assert res.selection.scores.data.tobytes() == score_tokens(dump, lam=0.9).data.tobytes()
     assert len(calls) == 1

@@ -4,9 +4,9 @@ import pytest
 from spiketrim.backbone import ModelConfig, init_model
 from spiketrim.data import SyntheticSpec, synth_dataset
 from spiketrim.engine import pool_tokens
-from spiketrim.head import (RidgeConfig, eval_metrics, fit_ridge, ridge_solve,
-                            topk_classes, train_head)
-from spiketrim.tensors import DenseTensor, SpikeTensor
+from spiketrim.head import (RidgeConfig, accuracies, eval_metrics, fit_ridge,
+                            ridge_solve, train_head)
+from spiketrim.tensors import DenseTensor, SpikeTensor, topk_rows
 
 
 class TestRidgeSolve:
@@ -108,15 +108,19 @@ class TestPooling:
 
 
 class TestTopkClasses:
+    # accuracies takes its top-5 class sets from tensors.topk_rows
     def test_ranking_with_ties(self):
         logits = np.array([[0.1, 0.9, 0.9, 0.5, 0.2, 0.0, 0.9]])
+        assert topk_rows(logits, 5)[0].tolist() == [1, 2, 3, 4, 6]
         # ties at 0.9 resolve to smaller class indices
-        assert topk_classes(logits, 5)[0].tolist() == [1, 2, 6, 3, 4]
+        assert topk_rows(logits, 2)[0].tolist() == [1, 2]
+        logits5 = DenseTensor(np.repeat(logits, 2, axis=0))
+        assert accuracies(logits5, [6, 5]) == (0.0, 0.5)
 
     def test_top1_matches_argmax(self):
         rng = np.random.default_rng(0)
         logits = rng.normal(size=(20, 8))
-        assert (topk_classes(logits, 1)[:, 0] == np.argmax(logits, axis=1)).all()
+        assert (topk_rows(logits, 1)[:, 0] == np.argmax(logits, axis=1)).all()
 
 
 class TestEval:

@@ -42,40 +42,40 @@ class TestStrategy:
 
     def test_negative_lambda(self):
         with pytest.raises(ValueError):
-            Strategy(kind="uncert_prune", lam=-1.0)
+            Strategy(kind="uncert-prune", lam=-1.0)
 
 
 class TestKeepMask:
     def test_floor_arithmetic(self):
         scores = DenseTensor(np.random.default_rng(0).random((1, 10)).astype(np.float32))
-        anchor = build_keep_mask(scores, 0.6, Strategy(kind="uncert_prune"))
+        anchor = build_keep_mask(scores, 0.6, Strategy(kind="uncert-prune"))
         assert len(_kept(anchor[0])) == 6
 
     def test_keep_all(self):
         scores = DenseTensor(np.zeros((1, 5), dtype=np.float32))
-        anchor = build_keep_mask(scores, 1.0, Strategy(kind="uncert_prune"))
+        anchor = build_keep_mask(scores, 1.0, Strategy(kind="uncert-prune"))
         assert anchor.tolist() == [[0, 1, 2, 3, 4]]
 
     def test_derived_tie_cases(self):
         scores = DenseTensor(np.array([[0.9, 0.1, 0.5, 0.5, 0.3]], dtype=np.float32))
-        hi = build_keep_mask(scores, 0.6, Strategy(kind="uncert_prune"))
-        lo = build_keep_mask(scores, 0.6, Strategy(kind="low_uncert_prune"))
+        hi = build_keep_mask(scores, 0.6, Strategy(kind="uncert-prune"))
+        lo = build_keep_mask(scores, 0.6, Strategy(kind="low-uncert-prune"))
         assert hi.tolist() == [[0, -1, 2, 3, -1]]
         assert lo.tolist() == [[-1, 1, 2, -1, 4]]
 
     def test_zero_keep_rejected(self):
         scores = DenseTensor(np.zeros((1, 3), dtype=np.float32))
         with pytest.raises(ValueError):
-            build_keep_mask(scores, 0.2, Strategy(kind="uncert_prune"))
+            build_keep_mask(scores, 0.2, Strategy(kind="uncert-prune"))
 
     def test_random_deterministic_and_per_sample(self):
         scores = DenseTensor(np.zeros((3, 12), dtype=np.float32))
-        strat = Strategy(kind="random_prune", seed=99)
+        strat = Strategy(kind="random-prune", seed=99)
         m1 = build_keep_mask(scores, 0.5, strat)
         m2 = build_keep_mask(scores, 0.5, strat)
         assert (m1 == m2).all()
         assert len({tuple(row) for row in m1.tolist()}) > 1  # samples differ
-        other = build_keep_mask(scores, 0.5, Strategy(kind="random_prune", seed=100))
+        other = build_keep_mask(scores, 0.5, Strategy(kind="random-prune", seed=100))
         assert (m1 != other).any()
 
     def test_random_rows_equal_per_sample_streams(self):
@@ -87,7 +87,7 @@ class TestKeepMask:
                     if ratio * n < 1:
                         continue
                     anchor = build_keep_mask(scores, ratio,
-                                             Strategy(kind="random_prune", seed=b + n))
+                                             Strategy(kind="random-prune", seed=b + n))
                     k = int(ratio * n)
                     for m in range(b):
                         rows = stream(b + n, f"random_prune/{m}").sample_without_replacement(n, k)
@@ -97,7 +97,7 @@ class TestKeepMask:
         # every row keeps floor(ratio * N) tokens at their own index, the rest -1
         rng = np.random.default_rng(10)
         scores = DenseTensor(rng.random((4, 10)).astype(np.float32))
-        for kind in ("uncert_prune", "low_uncert_prune", "random_prune"):
+        for kind in ("uncert-prune", "low-uncert-prune", "random-prune"):
             anchor = build_keep_mask(scores, 0.75, Strategy(kind=kind, seed=1))
             assert anchor.shape == (4, 10) and anchor.dtype == np.int64
             own = anchor == np.arange(10)

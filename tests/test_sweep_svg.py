@@ -39,6 +39,13 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             SweepConfig(strategies=("uncert-pruneX",))
 
+    @pytest.mark.parametrize("kwargs", [dict(strategies=()), dict(keep_ratios=()),
+                                        dict(seeds=()), dict(score_mode="bogus")],
+                             ids=["strategies", "keep_ratios", "seeds", "score_mode"])
+    def test_empty_grid_or_unknown_mode_rejected(self, kwargs):
+        with pytest.raises(ConfigError):
+            SweepConfig(**kwargs)
+
     def test_defaults(self):
         cfg = SweepConfig()
         assert cfg.keep_ratios == (1.0, 0.8, 0.6, 0.4, 0.2)

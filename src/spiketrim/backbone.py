@@ -14,12 +14,20 @@ each sample's active tokens and token_logits only on rows with a nonzero
 feature, with every output bit unchanged. The ledger is not execution: charges
 stay structural and are counted on the full token count N.
 
+Silent-query law: attention has no softmax, so a sample whose Q never fires
+has A = QK^T = 0 and Y = AV = 0 at every step, and its output LIF's current
+(0 W_p) 2^-shift + x_t has the bits of x_t (x_t is +0.0 or 1.0, and a signed
+zero added to it vanishes). Its K and V feed only its own attention.
+ssa_forward therefore spikes Q for every sample first and runs K/V,
+attention and the output projection only for the samples that query.
+
 Per-step kernels: the patch embedding computes each step's current with
 one per-position batched matmul and never holds the [T,B,N,D] current. An
-SSA block projects Q, K and V with one [D, 3D] matmul into one LIF state of
-width 3D; LIF is elementwise and the matmul exact, so the spikes are those
-of three separate projections and states, with 2 lif_step calls per step
-instead of 4. lif_step (neuron) updates its membrane in place.
+SSA block projects Q with one [D, D] matmul and K and V with one [D, 2D]
+matmul into one LIF state of width 2D; LIF is elementwise and the matmul
+exact, so the spikes are those of separate projections and states, with 3
+lif_step calls per step instead of 4. lif_step (neuron) updates its
+membrane in place.
 
 The patch embedding uses per-position projection weights: one weight block per
 token position. With weight sharing the whole network would be permutation
@@ -341,9 +349,10 @@ def ssa_forward(x: SpikeTensor, w: SsaBlockWeights,
     """Spike-driven self-attention block over [T,B,N,D].
 
     Per timestep: Q/K/V = LIF(linear(x_t)) with states carried across time,
-    computed as one [D, 3D] projection into one shared [B, m, 3D] state;
-    Y = (Q K^T) V; output current = proj(Y) * 2**-shift + x_t (residual enters
-    as current), binarized by the output LIF. No softmax, no normalization.
+    K and V computed as one [D, 2D] projection into one shared [B, m, 2D]
+    state; Y = (Q K^T) V; output current = proj(Y) * 2**-shift + x_t
+    (residual enters as current), binarized by the output LIF. No softmax,
+    no normalization.
 
     Silent-token law: a token whose input row is zero at every step is a fixed
     point of the block for any weights (there are no biases). Its membranes
@@ -353,49 +362,69 @@ def ssa_forward(x: SpikeTensor, w: SsaBlockWeights,
     in ascending order and padded to the batch's largest active count with
     the sample's own silent tokens, and scatters the result into a zero
     output. Every matmul operand sits on the dyadic grid, so dropping the
-    zero terms changes no bit. Charges stay structural and are counted on the
-    full N: qkv from nnz(x_t), attn from nnz(Q) over N tokens, proj on all
-    B*N rows.
+    zero terms changes no bit.
+
+    Silent-query law: Q is spiked for all T steps first, and K/V, attention
+    and the output projection run only for the samples whose Q fires at some
+    step, reordered to the front of the batch so that they are a leading
+    slice. Every other sample has Q = 0 at every step, hence A = 0 and Y = 0,
+    and (0 W_p) 2^-shift + x_t has the bits of x_t (+0.0 or 1.0; a signed
+    zero added to it vanishes), so its output current is x_t itself. An
+    empty query set runs the same code on zero-size arrays. Charges stay
+    structural and are counted on the full N: qkv x3 from nnz(x_t), attn
+    from nnz(Q) over N tokens, proj on all B*N rows.
     """
     t_steps, b, n, d = x.shape
     if w.w_q.shape[0] != d:
         raise ShapeError(f"block dim {w.w_q.shape[0]} vs input D={d}")
-    # one [D, 3D] projection and one LIF state for Q, K and V: LIF is
-    # elementwise and the matmul exact, so every bit equals three separate ones
-    wqkv = np.concatenate([w.w_q.data, w.w_k.data, w.w_v.data], axis=1).astype(np.float64)
+    wq = w.w_q.data.astype(np.float64)
+    # one [D, 2D] projection and one LIF state for K and V: LIF is elementwise
+    # and the matmul exact, so every bit equals two separate ones
+    wkv = np.concatenate([w.w_k.data, w.w_v.data], axis=1).astype(np.float64)
     wp = w.w_proj.data.astype(np.float64)
     scale = 2.0 ** (-w.shift)
     active = x.data.any(axis=0).any(axis=-1)  # [B,N]
     # at least one row keeps an all-silent batch on the same path
     m = max(int(active.sum(axis=1).max()), 1)
     # stable: each sample's active tokens ascending, then its silent ones
-    rows = np.arange(b)[:, None]
     idx = np.argsort(~active, axis=1, kind="stable")[:, :m]
-    xs = x.data[:, rows, idx]  # [T,B,m,D]
-    qkv_state = LifState.zeros(w.lif, (b, m, 3 * d))
-    out_state = LifState.zeros(w.lif, (b, m, d))
-    spikes = np.empty((t_steps, b, m, d), dtype=np.uint8)
+    xs = x.data[:, np.arange(b)[:, None], idx]  # [T,B,m,D]
     # looked up in neuron at call time, not bound at import: a wrapper
     # patched onto neuron.lif_step (a tracer, a test) must see every step
     from .neuron import lif_step
 
+    q_state = LifState.zeros(w.lif, (b, m, d))
+    q = np.empty((t_steps, b, m, d), dtype=np.uint8)
     for t in range(t_steps):
-        xt = xs[t].astype(np.float64)  # [B,m,D]
-        qkv = lif_step(qkv_state, xt @ wqkv)  # [B,m,3D] uint8: Q | K | V
+        q[t] = lif_step(q_state, xs[t].astype(np.float64) @ wq)
+    del q_state  # its [B,m,D] membrane is not needed past this point
+    # queried samples first, so that they are a leading slice (a view) of
+    # every per-step array and the others need no copy of their own
+    queried = q.any(axis=(0, 2, 3))  # [B]
+    order = np.argsort(~queried, kind="stable")
+    s = int(queried.sum())
+    xs, q, idx = xs[:, order], q[:, order], idx[order]
+    kv_state = LifState.zeros(w.lif, (s, m, 2 * d))
+    out_state = LifState.zeros(w.lif, (b, m, d))
+    spikes = np.empty((t_steps, b, m, d), dtype=np.uint8)
+    for t in range(t_steps):
+        xt = xs[t].astype(np.float64)  # [B,m,D]; the output LIF's current
+        kv = lif_step(kv_state, xt[:s] @ wkv)  # [s,m,2D] uint8: K | V
         # no float64 Q, K, V or A outlives the expression
-        z = attention_core(*(qkv[..., i * d:(i + 1) * d].astype(np.float64)
-                             for i in range(3)))[1] @ wp
+        z = attention_core(q[t, :s].astype(np.float64), kv[..., :d].astype(np.float64),
+                           kv[..., d:].astype(np.float64))[1] @ wp
         z *= scale
-        z += xt
-        spikes[t] = lif_step(out_state, z)
+        # IEEE addition commutes exactly, so this is z + x_t bit for bit
+        xt[:s] += z
+        spikes[t] = lif_step(out_state, xt)
         if ledger is not None:
             nnz_x = int(xs[t].sum(dtype=np.int64))
             ledger.add(f"{w.label}.qkv", spike_accumulates=count_linear(nnz_x, d) * 3)
-            sa, macs = count_attention(int(qkv[..., :d].sum(dtype=np.int64)), n, d)
+            sa, macs = count_attention(int(q[t].sum(dtype=np.int64)), n, d)
             ledger.add(f"{w.label}.attn", spike_accumulates=sa, dense_macs=macs * b)
             ledger.add(f"{w.label}.proj", dense_macs=b * n * d * d)
     out = np.zeros((t_steps, b, n, d), dtype=np.uint8)
-    out[:, rows, idx] = spikes
+    out[:, order[:, None], idx] = spikes
     return SpikeTensor(out)
 
 

@@ -58,10 +58,12 @@ class SopLedger:
         self.entries[label] = (sa, mac)
 
     def totals(self, prefix: str = "") -> tuple[int, int]:
-        """(spike_accumulates, dense_macs) summed over labels with the prefix."""
+        """(spike_accumulates, dense_macs) summed over the labels that equal
+        prefix or extend it past a '.'; "" sums every label. The boundary
+        keeps 'stage1.block1' from counting 'stage1.block10.*'."""
         sa = mac = 0
         for label, (s, m) in self.entries.items():
-            if label.startswith(prefix):
+            if not prefix or label == prefix or label.startswith(prefix + "."):
                 sa = _checked(sa + s, "ledger totals")
                 mac = _checked(mac + m, "ledger totals")
         return sa, mac

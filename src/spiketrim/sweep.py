@@ -57,6 +57,8 @@ class SweepConfig:
         for r in self.keep_ratios:
             if not 0.0 < r <= 1.0:
                 raise ConfigError(f"keep ratio {r} outside (0, 1]")
+        if self.lam < 0:
+            raise ConfigError("lambda must be non-negative")
 
 
 @dataclass(frozen=True)

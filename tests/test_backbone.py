@@ -6,7 +6,7 @@ from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spiketrim import selection
+from spiketrim import backbone, selection
 from spiketrim.backbone import (HeadWeights, ModelConfig, StageConfig,
                                 attention_core, downsample_tokens,
                                 extract_patches, init_model,
@@ -243,10 +243,10 @@ def dense_ssa_reference(x: SpikeTensor, w, ledger=None) -> SpikeTensor:
     return SpikeTensor(out)
 
 
-def _active_block(d=8, seed=3):
+def _active_block(d=8, seed=3, scale=1.0):
     cfg = ModelConfig(steps=2, in_channels=1, height=2, width=2, patch=1,
                       num_classes=2,
-                      stages=(StageConfig(channels=d, blocks=1, w_scales=1.0),),
+                      stages=(StageConfig(channels=d, blocks=1, w_scales=scale),),
                       insert_block="1.0", seed=seed)
     return init_model(cfg).blocks[0][0]
 
@@ -337,6 +337,108 @@ class TestActiveTokens:
         ref = dense_ssa_reference(x, block, ref_ledger)
         assert got.data.tobytes() == ref.data.tobytes()
         assert got_ledger.entries == ref_ledger.entries
+
+
+def _count_attention_samples(monkeypatch) -> list:
+    """Wrap backbone.attention_core; the list gets each call's sample count."""
+    seen = []
+
+    def counting(q, k, v):
+        seen.append(q.shape[0])
+        return attention_core(q, k, v)
+
+    monkeypatch.setattr(backbone, "attention_core", counting)
+    return seen
+
+
+def _query_on_channel0_block():
+    """Q fires exactly where channel 0 spikes (w_q row 0 is 1.0 = v_th, every
+    other row 0), so a test sets each sample's queries through its input."""
+    block = _active_block()
+    w_q = np.zeros(block.w_q.shape, dtype=np.float32)
+    w_q[0] = 1.0
+    return replace(block, w_q=DenseTensor(w_q))
+
+
+class TestSilentQueries:
+    """A sample whose Q never fires skips K/V, attention and projection; the
+    dense loop is the oracle."""
+
+    def _mixed_batch(self):
+        # sample 0 queries, 1 is active but never queries, 2 queries only at
+        # the last step, 3 is silent
+        x = _tokens(np.array([[1, 1, 0, 1, 0, 0, 1, 0], [0, 1, 1, 0, 1, 1, 0, 1],
+                              [1, 0, 0, 1, 1, 0, 0, 0], [0] * 8], dtype=bool),
+                    seed=4).data.copy()
+        x[..., 0] = 0
+        x[:2, 0, :4, 0] = 1
+        x[-1, 2, [0, 3], 0] = 1
+        return SpikeTensor(x)
+
+    def test_mixed_batch_equals_dense(self, monkeypatch):
+        x = self._mixed_batch()
+        block = _query_on_channel0_block()
+        ref_ledger, got_ledger = SopLedger(), SopLedger()
+        ref = dense_ssa_reference(x, block, ref_ledger)
+        seen = _count_attention_samples(monkeypatch)
+        got = ssa_forward(x, block, got_ledger)
+        assert got.data.tobytes() == ref.data.tobytes()
+        assert got_ledger.entries == ref_ledger.entries
+        assert seen == [2] * x.shape[0]  # samples 0 and 2, at every step
+        # an unqueried sample's output current is x_t, so with v_th 1 the
+        # block passes its spikes through unchanged
+        assert (got.data[:, 1] == x.data[:, 1]).all() and x.data[:, 1].any()
+        # non-vacuous: attention changed a queried sample's spikes
+        assert (got.data[:, 0] != x.data[:, 0]).any()
+
+    def test_last_step_query_equals_dense(self, monkeypatch):
+        x = self._mixed_batch()
+        x = SpikeTensor(x.data[:, 2:3].copy())
+        block = _query_on_channel0_block()
+        ref_ledger, got_ledger = SopLedger(), SopLedger()
+        ref = dense_ssa_reference(x, block, ref_ledger)
+        seen = _count_attention_samples(monkeypatch)
+        got = ssa_forward(x, block, got_ledger)
+        assert got.data.tobytes() == ref.data.tobytes()
+        assert got_ledger.entries == ref_ledger.entries
+        assert seen == [1] * x.shape[0]
+        # 2 queried tokens x D columns, each against N keys, all at the last step
+        assert not x.data[:-1, ..., 0].any()
+        assert got_ledger.entries["stage1.block0.attn"][0] == 2 * 8 * 8
+
+    @pytest.mark.parametrize("case", sorted(ACTIVE_CASES))
+    def test_quiet_block_skips_attention(self, case, monkeypatch):
+        # w_scale 0.0625, D=8, two steps: a Q membrane reaches at most
+        # 8 * 0.0625 * (1 + 0.9) = 0.95 < v_th, so no sample can query
+        x = _tokens(ACTIVE_CASES[case], t_steps=2, seed=5)
+        block = _active_block(scale=0.0625)
+        ref_ledger, got_ledger = SopLedger(), SopLedger()
+        ref = dense_ssa_reference(x, block, ref_ledger)
+        seen = _count_attention_samples(monkeypatch)
+        got = ssa_forward(x, block, got_ledger)
+        assert got.data.tobytes() == ref.data.tobytes() == x.data.tobytes()
+        assert got_ledger.entries == ref_ledger.entries
+        assert seen == [0, 0]
+
+    def test_default_quiet_blocks_skip_attention(self, monkeypatch):
+        # the default model's w_scale 0.0625 blocks on real stage-1 tokens
+        from spiketrim.data import SyntheticSpec, synth_dataset
+        from spiketrim.engine import forward_prefix
+        model = init_model(ModelConfig(seed=3))
+        _, test = synth_dataset(SyntheticSpec(test_samples=32), 3)
+        cfg = model.config
+        prefix = forward_prefix(model, test.frames)
+        # blocks 1.0, 2.0 and 3.0 with their inputs: the embedding, then
+        # the output of the stage before
+        inputs = [patch_embed(test.frames, cfg.patch, model.embed_w, cfg.lif),
+                  *prefix.stage_tokens]
+        seen = _count_attention_samples(monkeypatch)
+        for tokens, stage in zip(inputs, model.blocks):
+            assert ssa_forward(tokens, stage[0]).data.tobytes() == tokens.data.tobytes()
+        assert seen == [0] * 3 * model.config.steps
+        seen.clear()
+        ssa_forward(prefix.tokens, model.blocks[2][1])
+        assert seen == [32] * model.config.steps
 
 
 class TestDownsample:

@@ -234,7 +234,8 @@ class TestSweepSop:
         ("score_mode=bogus\nstrategies=none,random-prune\nseeds=1\n", [], "bogus"),
         ("score_mode=bogus\nstrategies=uncert-prune\nseeds=1\n", [], "bogus"),
         ("seeds=1\n", ["--strategies", ","], "strategy"),
-    ], ids=["unscored-mode", "scored-mode", "empty-strategies"])
+        ("lambda=-1\nstrategies=uncert-prune\nseeds=1\n", [], "lambda"),
+    ], ids=["unscored-mode", "scored-mode", "empty-strategies", "negative-lambda"])
     def test_sweep_bad_grid_exits_2_before_training(self, tmp_path, capsys, monkeypatch,
                                                     config, flags, message):
         from spiketrim import sweep

@@ -1,9 +1,13 @@
+import numpy as np
 import pytest
 
+from spiketrim.backbone import ModelConfig, StageConfig, init_model
 from spiketrim.efficiency import (SOP_REPORT_HEADER, EnergyModel, SopLedger,
                                   count_attention, count_linear, energy_mj,
                                   reduction_percent, sop_report_csv)
+from spiketrim.engine import forward_prefix, forward_suffix
 from spiketrim.errors import CountOverflowError
+from spiketrim.tensors import SpikeTensor
 
 
 class TestCounting:
@@ -39,6 +43,24 @@ class TestLedger:
         led.add("stage3.block0.qkv", 99)
         assert led.totals("stage3.block1") == (15, 20)
         assert led.total_ops() == 99 + 15 + 20
+
+    def test_prefix_stops_at_label_boundary(self):
+        # an 11-block stage: block1's totals must not take in block10's
+        cfg = ModelConfig(steps=2, in_channels=1, height=2, width=2, num_classes=2,
+                          stages=(StageConfig(channels=4, blocks=11, w_scales=1.0),),
+                          insert_block="1.1", seed=1)
+        model = init_model(cfg)
+        frames = SpikeTensor(np.ones((2, 3, 1, 2, 2), dtype=np.uint8))
+        prefix = forward_prefix(model, frames)
+        ledger = forward_suffix(model, prefix, None).ledger
+        assert prefix.label == "stage1.block1"
+        assert "stage1.block10.qkv" in ledger.entries
+        own = [v for k, v in ledger.entries.items() if k.startswith("stage1.block1.")]
+        assert len(own) == 3
+        assert ledger.totals(prefix.label) == (sum(s for s, _ in own),
+                                               sum(m for _, m in own))
+        # a whole label still matches itself
+        assert ledger.totals("stage1.block1.qkv") == ledger.entries["stage1.block1.qkv"]
 
     def test_overflow_on_add(self):
         led = SopLedger()

@@ -1,5 +1,6 @@
-"""Hierarchical spiking transformer: configs, weights, patch embedding,
-spike-driven self-attention, and the per-token classifier map.
+"""Spiking transformer whose blocks all run on one token grid at one width:
+configs, weights, patch embedding, spike-driven self-attention, and the
+per-token classifier map.
 
 Numeric scheme: weights are initialized on dyadic grids (uniform_grid or
 sign_magnitude), so float64 matmuls against binary spikes incur no rounding at
@@ -46,7 +47,7 @@ import numpy as np
 
 from .efficiency import SopLedger, count_attention, count_linear
 from .errors import ConfigError, ShapeError
-from .neuron import LifParams, LifState, lif_sequence
+from .neuron import LifParams, LifState
 from .rng import stream
 from .tensorfile import (manifest_fields, read_manifest, read_tensor,
                          write_manifest, write_tensor)
@@ -55,7 +56,8 @@ from .tensors import DenseTensor, SpikeTensor, as_array
 
 @dataclass(frozen=True)
 class StageConfig:
-    """One backbone stage: channel width, block count, entry downsampling.
+    """One backbone stage: channel width and block count. Every stage has the
+    width of the patch embedding and keeps its token grid.
 
     w_scales holds the init scale of each attention block's weights; a single
     float applies to every block in the stage.
@@ -63,7 +65,6 @@ class StageConfig:
 
     channels: int
     blocks: int
-    downsample: int = 1
     w_scales: Union[float, tuple[float, ...]] = 0.0625
 
     def __post_init__(self):
@@ -71,8 +72,6 @@ class StageConfig:
             raise ConfigError("stage channels must be >= 1")
         if self.blocks < 1:
             raise ConfigError("stage blocks must be >= 1")
-        if self.downsample not in (1, 2):
-            raise ConfigError("downsample factor must be 1 or 2")
         scales = self.w_scales
         if isinstance(scales, (int, float)):
             scales = tuple([float(scales)] * self.blocks)
@@ -87,9 +86,9 @@ class StageConfig:
 # early blocks preserve stage-1 burst structure exactly; the final block is
 # strong enough that its attention updates carry class-relevant signal.
 _DEFAULT_STAGES = (
-    StageConfig(channels=32, blocks=1, downsample=1, w_scales=0.0625),
-    StageConfig(channels=32, blocks=1, downsample=1, w_scales=0.0625),
-    StageConfig(channels=32, blocks=2, downsample=1, w_scales=(0.0625, 1.25)),
+    StageConfig(channels=32, blocks=1, w_scales=0.0625),
+    StageConfig(channels=32, blocks=1, w_scales=0.0625),
+    StageConfig(channels=32, blocks=2, w_scales=(0.0625, 1.25)),
 )
 
 
@@ -127,21 +126,10 @@ class ModelConfig:
             raise ConfigError("patch size must divide height and width")
         if not self.stages:
             raise ConfigError("at least one stage required")
-        gh, gw = self.height // self.patch, self.width // self.patch
-        for i, st in enumerate(self.stages):
-            if st.downsample == 2:
-                if gh % 2 or gw % 2:
-                    raise ConfigError(f"stage {i + 1} downsample does not divide grid {gh}x{gw}")
-                gh, gw = gh // 2, gw // 2
+        widths = [st.channels for st in self.stages]
+        if len(set(widths)) > 1:
+            raise ConfigError(f"stage widths {widths} differ; every stage needs one width")
         self.parse_insert()
-
-    def grid_at(self, stage_index: int) -> tuple[int, int]:
-        """Token grid (rows, cols) at the input of stage_index's blocks."""
-        gh, gw = self.height // self.patch, self.width // self.patch
-        for st in self.stages[: stage_index + 1]:
-            if st.downsample == 2:
-                gh, gw = gh // 2, gw // 2
-        return gh, gw
 
     def parse_insert(self) -> tuple[int, int]:
         """insert_block 'S.B' -> (stage index 0-based, block index 0-based);
@@ -196,17 +184,10 @@ class HeadWeights:
             raise ShapeError(f"head w {self.w.shape} vs b {self.b.shape}")
 
 
-@dataclass(frozen=True)
-class DownsampleWeights:
-    w: DenseTensor  # [in_features, out_channels]
-    label: str
-
-
 @dataclass
 class Model:
     config: ModelConfig
-    embed_w: DenseTensor  # [N, patch*patch*in_channels, D1]
-    entries: list[Optional[DownsampleWeights]]  # per stage, None = identity entry
+    embed_w: DenseTensor  # [N, patch*patch*in_channels, D]
     blocks: list[list[SsaBlockWeights]]  # per stage
     head: HeadWeights
 
@@ -216,34 +197,21 @@ def init_model(config: ModelConfig) -> Model:
     n_feat = config.patch * config.patch * config.in_channels
     gh, gw = config.height // config.patch, config.width // config.patch
     n_tokens = gh * gw
-    d1 = config.stages[0].channels
-    emb = stream(config.seed, "embed").sign_magnitude((n_tokens, n_feat, d1),
+    d = config.stages[0].channels
+    emb = stream(config.seed, "embed").sign_magnitude((n_tokens, n_feat, d),
                                                       config.embed_scale)
     embed_w = DenseTensor(emb.astype(np.float32))
 
-    entries: list[Optional[DownsampleWeights]] = []
     blocks: list[list[SsaBlockWeights]] = []
-    prev_c = d1
     for s, st in enumerate(config.stages):
         label = f"stage{s + 1}"
-        if s == 0:
-            entries.append(None)  # patch embedding is stage 1's entry
-        elif st.downsample == 2 or st.channels != prev_c:
-            in_feat = prev_c * (4 if st.downsample == 2 else 1)
-            w = stream(config.seed, f"{label}.down").uniform_grid(
-                (in_feat, st.channels), 0.25
-            )
-            entries.append(DownsampleWeights(DenseTensor(w.astype(np.float32)),
-                                             label=f"{label}.down"))
-        else:
-            entries.append(None)
         stage_blocks = []
         for b in range(st.blocks):
             scale = st.w_scales[b]
             ws = []
             for name in ("wq", "wk", "wv", "wproj"):
                 w = stream(config.seed, f"{label}.block{b}.{name}").uniform_grid(
-                    (st.channels, st.channels), scale
+                    (d, d), scale
                 )
                 ws.append(DenseTensor(w.astype(np.float32)))
             stage_blocks.append(
@@ -251,14 +219,12 @@ def init_model(config: ModelConfig) -> Model:
                                 label=f"{label}.block{b}")
             )
         blocks.append(stage_blocks)
-        prev_c = st.channels
     head_w = stream(config.seed, "head").uniform_grid(
-        (config.stages[-1].channels, config.num_classes), 0.125
+        (d, config.num_classes), 0.125
     )
     head = HeadWeights(DenseTensor(head_w.astype(np.float32)),
                        DenseTensor(np.zeros(config.num_classes, dtype=np.float32)))
-    return Model(config=config, embed_w=embed_w, entries=entries, blocks=blocks,
-                 head=head)
+    return Model(config=config, embed_w=embed_w, blocks=blocks, head=head)
 
 
 def extract_patches(frames, patch: int) -> np.ndarray:
@@ -300,7 +266,7 @@ def patch_embed(frames, patch: int, weights: DenseTensor, lif: LifParams,
     d = wf.shape[2]
     if ledger is not None:
         if isinstance(frames, SpikeTensor):
-            ledger.add(label, spike_accumulates=count_linear(int(patches.sum(dtype=np.int64)), d))
+            ledger.add(label, spike_accumulates=count_linear(np.count_nonzero(patches), d))
         else:
             ledger.add(label, dense_macs=t * b * n_tok * n_feat * d)
     # looked up at call time, as in ssa_forward
@@ -312,30 +278,6 @@ def patch_embed(frames, patch: int, weights: DenseTensor, lif: LifParams,
         current = np.matmul(patches[step].transpose(1, 0, 2), wf)  # [N,B,D]
         out[step] = lif_step(state, current).transpose(1, 0, 2)
     return SpikeTensor(out)
-
-
-def downsample_tokens(x: SpikeTensor, grid: tuple[int, int], factor: int,
-                      weights: DownsampleWeights, lif: LifParams,
-                      ledger: Optional[SopLedger] = None) -> SpikeTensor:
-    """Merge factor x factor token neighborhoods through a linear map + LIF."""
-    t, b, n, d = x.shape
-    gh, gw = grid
-    if gh * gw != n:
-        raise ShapeError(f"grid {grid} does not match N={n}")
-    if factor == 1:
-        feats = x.data.astype(np.float64)
-    else:
-        xt = x.data.reshape(t, b, gh // factor, factor, gw // factor, factor, d)
-        xt = xt.transpose(0, 1, 2, 4, 3, 5, 6)
-        feats = xt.reshape(t, b, (gh // factor) * (gw // factor), factor * factor * d).astype(np.float64)
-    wf = weights.w.data.astype(np.float64)
-    if wf.shape[0] != feats.shape[-1]:
-        raise ShapeError(f"downsample weights {weights.w.shape} vs features {feats.shape}")
-    current = feats @ wf
-    if ledger is not None:
-        ledger.add(weights.label,
-                   spike_accumulates=count_linear(int(feats.sum(dtype=np.int64)), wf.shape[1]))
-    return lif_sequence(lif, current)
 
 
 def attention_core(q: np.ndarray, k: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -418,9 +360,9 @@ def ssa_forward(x: SpikeTensor, w: SsaBlockWeights,
         xt[:s] += z
         spikes[t] = lif_step(out_state, xt)
         if ledger is not None:
-            nnz_x = int(xs[t].sum(dtype=np.int64))
+            nnz_x = np.count_nonzero(xs[t])
             ledger.add(f"{w.label}.qkv", spike_accumulates=count_linear(nnz_x, d) * 3)
-            sa, macs = count_attention(int(q[t].sum(dtype=np.int64)), n, d)
+            sa, macs = count_attention(np.count_nonzero(q[t]), n, d)
             ledger.add(f"{w.label}.attn", spike_accumulates=sa, dense_macs=macs * b)
             ledger.add(f"{w.label}.proj", dense_macs=b * n * d * d)
     out = np.zeros((t_steps, b, n, d), dtype=np.uint8)
@@ -484,13 +426,10 @@ def save_model(model: Model, directory: Union[str, Path]) -> None:
     for i, st in enumerate(cfg.stages):
         entries[f"stage{i + 1}.channels"] = str(st.channels)
         entries[f"stage{i + 1}.blocks"] = str(st.blocks)
-        entries[f"stage{i + 1}.downsample"] = str(st.downsample)
         entries[f"stage{i + 1}.w_scales"] = ",".join(repr(s) for s in st.w_scales)
     write_manifest(directory / "manifest.txt", entries)
     write_tensor(directory / "embed.spkt", model.embed_w)
-    for s, (entry, stage_blocks) in enumerate(zip(model.entries, model.blocks)):
-        if entry is not None:
-            write_tensor(directory / f"stage{s + 1}.down.spkt", entry.w)
+    for s, stage_blocks in enumerate(model.blocks):
         for bb, blk in enumerate(stage_blocks):
             for name, tensor in (("wq", blk.w_q), ("wk", blk.w_k),
                                  ("wv", blk.w_v), ("wproj", blk.w_proj)):
@@ -508,10 +447,14 @@ def load_model(directory: Union[str, Path]) -> Model:
     with manifest_fields(path):
         stages = []
         for i in range(int(m["n_stages"])):
+            # manifests written before stages lost their entry transform
+            # carry stageN.downsample=1, which every layout here satisfies
+            legacy = m.get(f"stage{i + 1}.downsample", "1")
+            if legacy != "1":
+                raise ValueError(f"stage{i + 1}.downsample={legacy}: no stage downsamples")
             stages.append(StageConfig(
                 channels=int(m[f"stage{i + 1}.channels"]),
                 blocks=int(m[f"stage{i + 1}.blocks"]),
-                downsample=int(m[f"stage{i + 1}.downsample"]),
                 w_scales=tuple(float(s) for s in m[f"stage{i + 1}.w_scales"].split(",")),
             ))
         cfg = ModelConfig(
@@ -531,10 +474,6 @@ def load_model(directory: Union[str, Path]) -> Model:
     model = init_model(cfg)
     model.embed_w = read_tensor(directory / "embed.spkt")
     for s in range(len(cfg.stages)):
-        down = directory / f"stage{s + 1}.down.spkt"
-        if model.entries[s] is not None:
-            model.entries[s] = DownsampleWeights(read_tensor(down),
-                                                 label=model.entries[s].label)
         for bb in range(cfg.stages[s].blocks):
             tensors = {
                 name: read_tensor(directory / f"stage{s + 1}.block{bb}.{name}.spkt")

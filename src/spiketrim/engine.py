@@ -3,8 +3,8 @@ at the insertion block.
 
 The insertion block is the model's (ModelConfig.insert_block); a reduction
 plan says only how to reduce there: a strategy and a keep ratio.
-forward_prefix validates the input and runs patch embedding, every stage's
-entry transform and the attention blocks before the insertion block.
+forward_prefix validates the input and runs patch embedding and the
+attention blocks before the insertion block.
 Nothing in it depends on the reduction plan, so one prefix serves every
 strategy and keep ratio. forward_suffix copies the prefix's ledger entries,
 runs the insertion block (unreduced, pruned or merged), the remaining
@@ -33,8 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .backbone import (HeadWeights, Model, downsample_tokens, patch_embed,
-                       ssa_forward, token_logits)
+from .backbone import HeadWeights, Model, patch_embed, ssa_forward, token_logits
 from .efficiency import SopLedger
 from .errors import ConfigError, ShapeError
 from .selection import (Strategy, build_keep_mask, build_merge_assignment,
@@ -123,18 +122,6 @@ def pool_tokens(x: SpikeTensor) -> DenseTensor:
     return DenseTensor((counts / (t * n)).astype(np.float32))
 
 
-def _enter_stage(model: Model, s: int, x: SpikeTensor, ledger: SopLedger) -> SpikeTensor:
-    """Stage s's entry transform (identity when the stage has none)."""
-    if model.entries[s] is None:
-        return x
-    cfg = model.config
-    grid = cfg.grid_at(s - 1)
-    if x.shape[2] != grid[0] * grid[1]:
-        raise ConfigError("downsampling after token merge is unsupported")
-    return downsample_tokens(x, grid, cfg.stages[s].downsample, model.entries[s],
-                             cfg.lif, ledger)
-
-
 def forward_prefix(model: Model, frames) -> Prefix:
     """Everything before the model's insertion block. frames is [T0,B,n,H,W]
     with T0 == steps (event data) or T0 == 1 (static input, repeated across
@@ -156,7 +143,6 @@ def forward_prefix(model: Model, frames) -> Prefix:
     x = patch_embed(frames, cfg.patch, model.embed_w, cfg.lif, ledger)
     stage_tokens: list[SpikeTensor] = []
     for s in range(insert[0] + 1):
-        x = _enter_stage(model, s, x, ledger)
         last = insert[1] if s == insert[0] else len(model.blocks[s])
         for block in model.blocks[s][:last]:
             x = ssa_forward(x, block, ledger)
@@ -168,7 +154,6 @@ def forward_prefix(model: Model, frames) -> Prefix:
 def forward_suffix(model: Model, prefix: Prefix,
                    plan: Optional[ReductionPlan] = None) -> ForwardResult:
     """The insertion block under plan, the blocks after it, pool and head."""
-    cfg = model.config
     s_ins, b_ins = prefix.insert
     ledger = SopLedger()
     for label, (sa, mac) in prefix.ledger.entries.items():
@@ -183,9 +168,7 @@ def forward_suffix(model: Model, prefix: Prefix,
         x = ssa_forward(x, block, ledger)
 
     stage_tokens = list(prefix.stage_tokens)
-    for s in range(s_ins, len(cfg.stages)):
-        if s > s_ins:
-            x = _enter_stage(model, s, x, ledger)
+    for s in range(s_ins, len(model.blocks)):
         for block in model.blocks[s][b_ins + 1 if s == s_ins else 0:]:
             x = ssa_forward(x, block, ledger)
         stage_tokens.append(x)

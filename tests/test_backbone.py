@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from spiketrim import backbone, selection
 from spiketrim.backbone import (HeadWeights, ModelConfig, StageConfig,
-                                attention_core, downsample_tokens,
-                                extract_patches, init_model,
+                                attention_core, extract_patches, init_model,
                                 load_model, patch_embed, save_model,
                                 ssa_forward, token_logits)
 from spiketrim.efficiency import SopLedger, count_attention, count_linear
@@ -34,14 +33,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             small_config(height=6, patch=4)
 
-    def test_downsample_divisibility(self):
-        # 6x6 grid halves once to 3x3; a second downsample cannot divide it
-        with pytest.raises(ConfigError):
-            small_config(height=6, width=6,
-                         stages=(StageConfig(channels=4, blocks=1),
-                                 StageConfig(channels=4, blocks=1, downsample=2),
-                                 StageConfig(channels=4, blocks=1, downsample=2)),
-                         insert_block="1.0")
+    def test_unequal_stage_widths_rejected(self):
+        # no stage has an entry map, so every stage runs at the embedding width
+        with pytest.raises(ConfigError, match="differ"):
+            small_config(stages=(StageConfig(channels=8, blocks=1),
+                                 StageConfig(channels=16, blocks=2)))
 
     def test_insert_block_parse(self):
         cfg = small_config()
@@ -55,14 +51,6 @@ class TestConfig:
     def test_stage_scales_length(self):
         with pytest.raises(ConfigError):
             StageConfig(channels=4, blocks=2, w_scales=(0.5,))
-
-    def test_grid_tracking(self):
-        cfg = ModelConfig(height=16, width=16, patch=2, in_channels=2,
-                          stages=(StageConfig(channels=8, blocks=1),
-                                  StageConfig(channels=16, blocks=1, downsample=2)),
-                          insert_block="1.0")
-        assert cfg.grid_at(0) == (8, 8)
-        assert cfg.grid_at(1) == (4, 4)
 
 
 class TestInit:
@@ -441,20 +429,6 @@ class TestSilentQueries:
         assert seen == [32] * model.config.steps
 
 
-class TestDownsample:
-    def test_shape_law(self):
-        # downsample-2 stage entry shrinks N by 4 and maps channels
-        cfg = ModelConfig(steps=2, in_channels=2, height=4, width=4, patch=1,
-                          num_classes=2,
-                          stages=(StageConfig(channels=4, blocks=1),
-                                  StageConfig(channels=6, blocks=1, downsample=2)),
-                          insert_block="1.0", seed=5)
-        model = init_model(cfg)
-        x = SpikeTensor(np.ones((2, 3, 16, 4), dtype=np.uint8))
-        out = downsample_tokens(x, (4, 4), 2, model.entries[1], cfg.lif)
-        assert out.shape == (2, 3, 4, 6)
-
-
 class TestTokenLogits:
     def test_zero_gives_bias(self):
         head = HeadWeights(DenseTensor(np.ones((3, 2), dtype=np.float32)),
@@ -534,9 +508,10 @@ class TestSerialization:
                     assert (getattr(back.blocks[s][b], name).data.tobytes()
                             == getattr(model.blocks[s][b], name).data.tobytes())
 
-    def test_legacy_embed_init_line_loads(self, tmp_path):
-        # manifests written before embed_init was removed carry embed_init=sign;
-        # every weight comes from the .spkt files, so the line is ignored
+    @staticmethod
+    def _loads_with_legacy_lines(tmp_path, legacy):
+        # every weight comes from the .spkt files, so a legacy line that the
+        # layout satisfies is ignored and the logits keep their bits
         from spiketrim.data import SyntheticSpec
         from spiketrim.engine import forward_full
         from spiketrim.sweep import prepared_model
@@ -544,7 +519,7 @@ class TestSerialization:
         model, _, test = prepared_model(ModelConfig(seed=2), spec, 2)
         save_model(model, tmp_path / "m")
         manifest = tmp_path / "m" / "manifest.txt"
-        lines = manifest.read_text().splitlines() + ["embed_init=sign"]
+        lines = manifest.read_text().splitlines() + legacy
         manifest.write_text("\n".join(sorted(lines)) + "\n")
         back = load_model(tmp_path / "m")
 
@@ -553,13 +528,11 @@ class TestSerialization:
 
         assert sha(back) == sha(model)
 
-    def test_downsample_weights_roundtrip(self, tmp_path):
-        cfg = ModelConfig(steps=2, in_channels=2, height=4, width=4, patch=1,
-                          num_classes=2,
-                          stages=(StageConfig(channels=4, blocks=1),
-                                  StageConfig(channels=6, blocks=1, downsample=2)),
-                          insert_block="1.0", seed=5)
-        model = init_model(cfg)
-        save_model(model, tmp_path / "m")
-        back = load_model(tmp_path / "m")
-        assert back.entries[1].w.data.tobytes() == model.entries[1].w.data.tobytes()
+    def test_legacy_embed_init_line_loads(self, tmp_path):
+        # manifests written before embed_init was removed carry embed_init=sign
+        self._loads_with_legacy_lines(tmp_path, ["embed_init=sign"])
+
+    def test_legacy_downsample_lines_load(self, tmp_path):
+        # manifests written while stages had an entry transform carry
+        # stageN.downsample=1 for each of the default model's three stages
+        self._loads_with_legacy_lines(tmp_path, [f"stage{s}.downsample=1" for s in (1, 2, 3)])

@@ -112,6 +112,20 @@ class TestGenTrainRun:
         assert code == 2
         assert err.count("\n") == 1 and "grid" in err
 
+    @pytest.mark.parametrize("line", ["stage2.downsample=2", "stage2.channels=16"])
+    def test_model_manifest_stage_layout_exits_2(self, artifacts, capsys, line):
+        # no stage downsamples or changes width; a manifest asking for either
+        # is a contract error, not a traceback
+        data, model = artifacts
+        key = line.split("=", 1)[0]
+        manifest = model / "manifest.txt"
+        self._drop_key(manifest, key)
+        manifest.write_text(manifest.read_text() + line + "\n")
+        code, _ = run_cli(["run", "--data", str(data), "--model", str(model)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and str(manifest) in err and "Traceback" not in err
+
     @pytest.mark.parametrize("strategy", ["none", "uncert-prune"])
     def test_model_insert_block_used_throughout(self, tmp_path, strategy):
         # the plan, the ledger prefix and both dumps use one block: the

@@ -160,22 +160,20 @@ class TestReducedForward:
         for res in (forward_full(model, test.frames, plan), forward_suffix(model, prefix, plan)):
             assert res.selection.scores.data.tobytes() == score_tokens(u, lam=0.9).data.tobytes()
 
-    def test_merge_before_downsampling_rejected(self):
-        cfg = tiny_config(stages=(StageConfig(channels=8, blocks=1, w_scales=0.125),
-                                  StageConfig(channels=8, blocks=1, downsample=2,
-                                              w_scales=0.125)),
-                          insert_block="1.0")
-        model = init_model(cfg)
+    def test_merge_feeds_later_stages(self):
+        # merge at a stage's last block hands K = floor(r N) tokens to the
+        # next stage; on a prefix that already served a pruning suffix it
+        # gives the bits of a fresh full pass
+        model = init_model(tiny_config(insert_block="1.0"))
         x = tiny_inputs()
-        prune = ReductionPlan(Strategy(kind="uncert-prune"), 0.5)
-        assert forward_full(model, x, prune).stage_tokens[-1].shape[2] == 4
-        with pytest.raises(ConfigError):
-            forward_full(model, x, ReductionPlan(Strategy(kind="uncert-merge"), 0.5))
-        # the same on a prefix that already served a pruning suffix
+        prune = ReductionPlan(Strategy(kind="uncert-prune"), 0.6)
+        merge = ReductionPlan(Strategy(kind="uncert-merge"), 0.6)
         prefix = forward_prefix(model, x)
-        assert forward_suffix(model, prefix, prune).stage_tokens[-1].shape[2] == 4
-        with pytest.raises(ConfigError):
-            forward_suffix(model, prefix, ReductionPlan(Strategy(kind="uncert-merge"), 0.5))
+        forward_suffix(model, prefix, prune)
+        split = forward_suffix(model, prefix, merge)
+        assert [t.shape[2] for t in split.stage_tokens] == [9, 9]
+        assert split.logits.shape == (6, 3)
+        assert _result_bytes(split) == _result_bytes(forward_full(model, x, merge))
 
 
 @pytest.fixture(scope="module")

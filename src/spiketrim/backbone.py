@@ -22,9 +22,10 @@ zero added to it vanishes). Its K and V feed only its own attention.
 ssa_forward therefore spikes Q for every sample first and runs K/V,
 attention and the output projection only for the samples that query.
 
-Per-step kernels: the patch embedding computes each step's current with
-one per-position batched matmul and never holds the [T,B,N,D] current. An
-SSA block projects Q with one [D, D] matmul and K and V with one [D, 2D]
+Per-step kernels: the patch embedding takes spike frames only, charged as
+nnz(patches) x D spike-accumulates. It computes each step's current with one
+per-position batched matmul and never holds the [T,B,N,D] current. An SSA
+block projects Q with one [D, D] matmul and K and V with one [D, 2D]
 matmul into one LIF state of width 2D; LIF is elementwise and the matmul
 exact, so the spikes are those of separate projections and states, with 3
 lif_step calls per step instead of 4. lif_step (neuron) updates its
@@ -242,21 +243,19 @@ def extract_patches(frames, patch: int) -> np.ndarray:
     return np.ascontiguousarray(x.reshape(t, b, gh * gw, n * patch * patch)).astype(np.float64)
 
 
-def patch_embed(frames, patch: int, weights: DenseTensor, lif: LifParams,
+def patch_embed(frames: SpikeTensor, patch: int, weights: DenseTensor, lif: LifParams,
                 ledger: Optional[SopLedger] = None,
                 label: str = "stage1.embed") -> SpikeTensor:
     """Project non-overlapping patches per position, then spike via LIF.
 
-    frames: SpikeTensor (event data, counted as spike-accumulates) or
-    DenseTensor (static frames, counted as dense MACs) of shape [T,B,n,H,W].
+    frames: spike frames [T,B,n,H,W], counted as spike-accumulates.
     weights: [N, patch*patch*n, D].
 
     One step at a time: a per-position batched matmul [N,B,F] @ [N,F,D] gives
     the step's current and lif_step turns it into spikes, so the [T,B,N,D]
-    current is never held. With spike frames, or static frames on a dyadic
-    grid, every product and partial sum is exact and the bits equal those
-    of one einsum "tbnf,nfd->tbnd" over all steps; for other real-valued
-    static frames with F >= 3 the sum over F follows the BLAS order.
+    current is never held. Every product and partial sum of binary patches
+    is exact, so the bits equal those of one einsum "tbnf,nfd->tbnd" over
+    all steps.
     """
     patches = extract_patches(frames, patch)
     t, b, n_tok, n_feat = patches.shape
@@ -265,10 +264,7 @@ def patch_embed(frames, patch: int, weights: DenseTensor, lif: LifParams,
         raise ShapeError(f"embed weights {weights.shape} vs patches {patches.shape}")
     d = wf.shape[2]
     if ledger is not None:
-        if isinstance(frames, SpikeTensor):
-            ledger.add(label, spike_accumulates=count_linear(np.count_nonzero(patches), d))
-        else:
-            ledger.add(label, dense_macs=t * b * n_tok * n_feat * d)
+        ledger.add(label, spike_accumulates=count_linear(np.count_nonzero(patches), d))
     # looked up at call time, as in ssa_forward
     from .neuron import lif_step
 

@@ -3,8 +3,9 @@ at the insertion block.
 
 The insertion block is the model's (ModelConfig.insert_block); a reduction
 plan says only how to reduce there: a strategy and a keep ratio.
-forward_prefix validates the input and runs patch embedding and the
-attention blocks before the insertion block.
+forward_prefix is the one place that wraps and validates the input: spike
+frames [T,B,n,H,W] with T = steps, every value 0 or 1. It runs patch
+embedding and the attention blocks before the insertion block.
 Nothing in it depends on the reduction plan, so one prefix serves every
 strategy and keep ratio. forward_suffix copies the prefix's ledger entries,
 runs the insertion block (unreduced, pruned or merged), the remaining
@@ -15,12 +16,12 @@ prefix.
 
 The insertion block follows one rule. Strategy kind `none`, or keep ratio
 1.0 with any strategy, runs the block unreduced and records every token as
-kept. Any other plan scores the tokens (random-prune needs no scores),
-selects, and runs the prune or merge kernel. Every result carries the
-selection record (anchor array, merge weights, scores). The uncertainty
-trajectories depend only on the prefix tokens and the head, so a prefix
-computes them at most once per head (Prefix.trajectories), for the scores
-and for any dump alike.
+kept. A merge picks its anchors by score; a prune keeps the top [B, N] keys,
+which _reduced_block alone derives from the kind: the score, the negated
+score, or random_keys (no score). Every result carries the selection record
+(anchor array, merge weights, scores). The uncertainty trajectories depend
+only on the prefix tokens and the head, so a prefix computes them at most
+once per head (Prefix.trajectories), for the scores and for any dump alike.
 
 A sweep (sweep.run_sweep) builds one prefix per seed on the test split. Its
 `none` cells and every cell at keep ratio 1.0 run the same unreduced suffix,
@@ -35,9 +36,9 @@ import numpy as np
 
 from .backbone import HeadWeights, Model, patch_embed, ssa_forward, token_logits
 from .efficiency import SopLedger
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 from .selection import (Strategy, build_keep_mask, build_merge_assignment,
-                        merged_ssa, pruned_ssa_batched)
+                        merged_ssa, pruned_ssa_batched, random_keys)
 from .tensors import DenseTensor, SpikeTensor, as_array, spike_counts
 from .uncertainty import score_tokens, uncertainty_trajectories
 
@@ -102,15 +103,6 @@ class Prefix:
         return self._trajectories[1]
 
 
-def repeat_static(frames, steps: int):
-    """Tile a single-step input [1,B,n,H,W] across the simulation steps."""
-    arr = as_array(frames)
-    if arr.ndim != 5 or arr.shape[0] != 1:
-        raise ShapeError(f"static input must be [1,B,n,H,W], got {arr.shape}")
-    tiled = np.ascontiguousarray(np.broadcast_to(arr, (steps,) + arr.shape[1:]))
-    return SpikeTensor(tiled) if isinstance(frames, SpikeTensor) else DenseTensor(tiled)
-
-
 def pool_tokens(x: SpikeTensor) -> DenseTensor:
     """Mean over time and tokens: [T,B,N,D] -> [B,D].
 
@@ -123,20 +115,16 @@ def pool_tokens(x: SpikeTensor) -> DenseTensor:
 
 
 def forward_prefix(model: Model, frames) -> Prefix:
-    """Everything before the model's insertion block. frames is [T0,B,n,H,W]
-    with T0 == steps (event data) or T0 == 1 (static input, repeated across
-    steps)."""
+    """Everything before the model's insertion block. frames: spike frames
+    [steps,B,n,H,W], wrapped as a SpikeTensor (non-binary -> ShapeError)."""
     cfg = model.config
-    arr = as_array(frames)
-    if arr.ndim != 5:
-        raise ConfigError(f"input must be rank 5, got shape {arr.shape}")
-    if arr.shape[2] != cfg.in_channels or arr.shape[3:] != (cfg.height, cfg.width):
-        raise ConfigError(f"input {arr.shape} does not match config "
-                          f"[{cfg.in_channels},{cfg.height},{cfg.width}]")
-    if arr.shape[0] == 1 and cfg.steps > 1:
-        frames = repeat_static(frames, cfg.steps)
-    elif arr.shape[0] != cfg.steps:
-        raise ConfigError(f"input steps {arr.shape[0]} != config steps {cfg.steps}")
+    if not isinstance(frames, SpikeTensor):
+        frames = SpikeTensor(as_array(frames))
+    shape = frames.shape
+    if len(shape) != 5 or shape[:1] + shape[2:] != (cfg.steps, cfg.in_channels,
+                                                    cfg.height, cfg.width):
+        raise ConfigError(f"input {shape} does not match config [steps,B,n,H,W] = "
+                          f"[{cfg.steps},B,{cfg.in_channels},{cfg.height},{cfg.width}]")
 
     insert = cfg.parse_insert()
     ledger = SopLedger()
@@ -181,8 +169,7 @@ def forward_suffix(model: Model, prefix: Prefix,
 def forward_full(model: Model, frames,
                  reduction: Optional[ReductionPlan] = None) -> ForwardResult:
     """Full inference pass: forward_suffix on a fresh forward_prefix. frames
-    is [T0,B,n,H,W] with T0 == steps (event data) or T0 == 1 (static input,
-    repeated across steps)."""
+    is spike frames [T,B,n,H,W] with T == steps."""
     return forward_suffix(model, forward_prefix(model, frames), reduction)
 
 
@@ -190,14 +177,14 @@ def _reduced_block(model: Model, prefix: Prefix, block, plan: ReductionPlan,
                    ledger: SopLedger) -> tuple[SpikeTensor, SelectionDetail]:
     x, strat = prefix.tokens, plan.strategy
     if strat.kind == "random-prune":
-        # the seeded draw needs only the [B, N] shape
-        scores, keys = None, DenseTensor(np.zeros(x.shape[1:3], dtype=np.float32))
+        scores, keys = None, random_keys(strat.seed, x.shape[1], x.shape[2])
     else:
-        scores = keys = score_tokens(prefix.trajectories(model.head), lam=strat.lam,
-                                     mode=strat.score_mode)
+        scores = score_tokens(prefix.trajectories(model.head), lam=strat.lam,
+                              mode=strat.score_mode)
+        keys = -scores.data if strat.kind == "low-uncert-prune" else scores.data
     if strat.kind == "uncert-merge":
         anchor, weights = build_merge_assignment(scores, x, plan.keep_ratio)
         return (merged_ssa(x, anchor, weights, block, model.config.lif, ledger),
                 SelectionDetail(anchor, weights, scores))
-    anchor = build_keep_mask(keys, plan.keep_ratio, strat)
+    anchor = build_keep_mask(keys, plan.keep_ratio)
     return pruned_ssa_batched(x, anchor, block, ledger), SelectionDetail(anchor, scores=scores)

@@ -6,9 +6,10 @@ pruned token, a token's own index marks a kept token or merge anchor, and any
 other index names the anchor the token was merged into. Merging adds a
 [B, N] float64 array with each token's weight inside its anchor's group.
 
-The keep set is derived once per sample from temporally aggregated scores and
-shared across all timesteps. Pruned positions are frozen (identity
-pass-through): they receive no attention update and no residual
+Every prune keeps the top keys of one [B, N] key array (build_keep_mask);
+the engine alone maps a strategy kind to its keys. The keep set is derived
+once per sample and shared across all timesteps. Pruned positions are frozen
+(identity pass-through): they receive no attention update and no residual
 recomputation, which makes keep-everything selection exactly the unreduced
 block.
 
@@ -42,6 +43,7 @@ from .errors import ShapeError
 from .neuron import LifParams, lif_sequence
 from .rng import permutations, stream_bases
 from .tensors import DenseTensor, SpikeTensor, spike_counts, topk_rows
+from .uncertainty import SCORE_MODES
 
 # one spelling for the API, the CLI and the CSV
 STRATEGY_KINDS = ("uncert-prune", "uncert-merge", "random-prune",
@@ -62,6 +64,8 @@ class Strategy:
             raise ValueError(f"unknown strategy kind {self.kind!r}")
         if self.lam < 0:
             raise ValueError("lambda must be non-negative")
+        if self.score_mode not in SCORE_MODES:
+            raise ValueError(f"unknown score mode {self.score_mode!r}")
 
 
 def n_keep(ratio: float, n_total: int) -> int:
@@ -73,32 +77,25 @@ def n_keep(ratio: float, n_total: int) -> int:
     return k
 
 
-def build_keep_mask(scores: DenseTensor, ratio: float, strategy: Strategy) -> np.ndarray:
-    """[B, N] anchor array of per-sample keep sets from [B, N] scores: kept
-    tokens hold their own index, pruned tokens -1.
+def random_keys(seed: int, b: int, n: int) -> np.ndarray:
+    """[B, N] int64 keys of the random baseline: the token at position c of
+    row m's shuffle, stream(seed, f"random_prune/{m}")'s permutation, gets
+    key n - c, so the top k keys are the shuffle's first k tokens. Every
+    row's shuffle runs in one batched pass."""
+    # the label is part of the stream address, so it keeps its spelling
+    perm = permutations(stream_bases(seed, [f"random_prune/{m}" for m in range(b)]), n)
+    keys = np.empty((b, n), dtype=np.int64)
+    np.put_along_axis(keys, perm, np.arange(n, 0, -1)[None], axis=1)
+    return keys
 
-    uncert-prune keeps top scores, low-uncert-prune keeps top negated scores,
-    random-prune draws a seeded sample without replacement (stream keyed by
-    (strategy.seed, sample position), so keep sets are per-sample independent
-    and reproducible); every sample's shuffle runs in one batched pass.
-    """
-    if len(scores.shape) != 2:
-        raise ShapeError(f"scores must be [B, N], got {scores.shape}")
-    b, n = scores.shape
-    k = n_keep(ratio, n)
-    if strategy.kind in ("uncert-prune", "uncert-merge"):
-        idx = topk_rows(scores.data, k)
-    elif strategy.kind == "low-uncert-prune":
-        idx = topk_rows(-scores.data, k)
-    elif strategy.kind == "random-prune":
-        # row m is stream(seed, f"random_prune/{m}").sample_without_replacement(n, k);
-        # the label is part of the stream address, so it keeps its spelling
-        bases = stream_bases(strategy.seed, [f"random_prune/{m}" for m in range(b)])
-        idx = np.sort(permutations(bases, n)[:, :k], axis=1)
-    else:
-        raise ValueError(f"strategy {strategy.kind!r} builds no keep mask")
-    anchor = np.full((b, n), -1, dtype=np.int64)
-    anchor[np.arange(b)[:, None], idx] = idx
+
+def build_keep_mask(keys: np.ndarray, ratio: float) -> np.ndarray:
+    """[B, N] anchor array of per-sample keep sets from [B, N] keys: the
+    floor(ratio * N) largest keys of a row (ties to the smaller index) hold
+    their own index, pruned tokens -1."""
+    idx = topk_rows(keys, n_keep(ratio, keys.shape[-1]))
+    anchor = np.full(keys.shape, -1, dtype=np.int64)
+    np.put_along_axis(anchor, idx, idx, axis=1)
     return anchor
 
 

@@ -19,8 +19,8 @@ from .efficiency import (EnergyModel, SopLedger, count_attention, count_linear,
 from .engine import forward_full, pool_tokens
 from .head import ridge_solve
 from .neuron import LifParams, LifState, lif_sequence, lif_step
-from .selection import (Strategy, apply_merge, build_keep_mask,
-                        build_merge_assignment, pruned_ssa_batched)
+from .selection import (apply_merge, build_keep_mask, build_merge_assignment,
+                        pruned_ssa_batched)
 from .tensors import DenseTensor, SpikeTensor, topk_rows
 from .uncertainty import score_tokens, uncertainty_trajectories
 
@@ -160,10 +160,11 @@ def check_token_logits_rows():
 
 
 def check_low_uncert_keep():
-    scores = DenseTensor(np.array([[0.9, 0.1, 0.5, 0.5, 0.3]], dtype=np.float32))
-    lo = build_keep_mask(scores, 0.6, Strategy(kind="low-uncert-prune"))
+    # low-uncert-prune keeps the top negated scores
+    scores = np.array([[0.9, 0.1, 0.5, 0.5, 0.3]], dtype=np.float32)
+    lo = build_keep_mask(-scores, 0.6)
     assert lo[0].tolist() == [-1, 1, 2, -1, 4]
-    hi = build_keep_mask(scores, 0.6, Strategy(kind="uncert-prune"))
+    hi = build_keep_mask(scores, 0.6)
     assert hi[0].tolist() == [0, -1, 2, 3, -1]
 
 

@@ -52,6 +52,8 @@ def read_tensor(path: Union[str, Path]) -> Tensor:
     if not 1 <= rank <= 5:
         raise ShapeError(f"{path}: bad rank {rank}")
     dims_end = 8 + 4 * rank
+    if len(raw) < dims_end:
+        raise ShapeError(f"{path}: header truncated in its {rank} dims")
     dims = struct.unpack(f"<{rank}I", raw[8:dims_end])
     check_shape(dims)
     count = int(np.prod(dims))

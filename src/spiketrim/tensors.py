@@ -62,7 +62,11 @@ class SpikeTensor:
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.data, dtype=np.uint8)
+        raw = np.asarray(self.data)
+        # the uint8 cast maps 0.5 and 256 to 0: check other dtypes before it
+        if raw.dtype not in (np.uint8, np.bool_) and ((raw != 0) & (raw != 1)).any():
+            raise ShapeError("SpikeTensor contains values outside {0, 1}")
+        arr = np.ascontiguousarray(raw, dtype=np.uint8)
         check_shape(arr.shape)
         if arr.max(initial=0) > 1:
             raise ShapeError("SpikeTensor contains values outside {0, 1}")

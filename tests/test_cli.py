@@ -112,6 +112,16 @@ class TestGenTrainRun:
         assert code == 2
         assert err.count("\n") == 1 and "grid" in err
 
+    @pytest.mark.parametrize("name", ["data/test/frames.spkt", "model/embed.spkt"])
+    def test_truncated_tensor_header_exits_2(self, artifacts, capsys, name):
+        data, model = artifacts
+        path = data.parent / name
+        path.write_bytes(path.read_bytes()[:10])  # magic, version bytes, part of dims
+        code, _ = run_cli(["run", "--data", str(data), "--model", str(model)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and str(path) in err and "Traceback" not in err
+
     @pytest.mark.parametrize("line", ["stage2.downsample=2", "stage2.channels=16"])
     def test_model_manifest_stage_layout_exits_2(self, artifacts, capsys, line):
         # no stage downsamples or changes width; a manifest asking for either

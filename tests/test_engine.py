@@ -6,8 +6,8 @@ from spiketrim import engine, neuron, selection, uncertainty
 from spiketrim.backbone import ModelConfig, StageConfig, init_model
 from spiketrim.data import SyntheticSpec, synth_dataset
 from spiketrim.engine import (ReductionPlan, forward_full, forward_prefix,
-                              forward_suffix, repeat_static)
-from spiketrim.errors import ConfigError
+                              forward_suffix)
+from spiketrim.errors import ConfigError, ShapeError
 from spiketrim.head import train_head
 from spiketrim.selection import Strategy
 from spiketrim.tensors import SpikeTensor
@@ -46,15 +46,24 @@ class TestForward:
         assert len(res.stage_tokens) == 2
         assert res.stage_tokens[0].shape == (3, 6, 16, 8)
 
-    def test_static_input_repeats(self):
+    def test_single_step_input_rejected(self):
+        # frames carry every step; a [1,B,...] input is not repeated
         model = init_model(tiny_config())
-        rng = np.random.default_rng(0)
-        static = SpikeTensor((rng.random((1, 2, 2, 4, 4)) < 0.5).astype(np.uint8))
-        res = forward_full(model, static)
-        assert res.logits.shape == (2, 3)
-        tiled = repeat_static(static, 3)
-        res2 = forward_full(model, tiled)
-        assert res.logits.data.tobytes() == res2.logits.data.tobytes()
+        with pytest.raises(ConfigError, match="steps"):
+            forward_full(model, SpikeTensor(tiny_inputs().data[:1]))
+
+    def test_raw_array_is_spike_frames(self):
+        # a plain 0/1 array is wrapped once and charged as spikes
+        model = init_model(tiny_config())
+        frames = tiny_inputs()
+        raw, wrapped = forward_full(model, frames.data), forward_full(model, frames)
+        assert raw.logits.data.tobytes() == wrapped.logits.data.tobytes()
+        assert raw.ledger.entries == wrapped.ledger.entries
+
+    def test_non_binary_input_rejected(self):
+        model = init_model(tiny_config())
+        with pytest.raises(ShapeError):
+            forward_full(model, np.full((3, 1, 2, 4, 4), 0.5))
 
     def test_input_mismatch(self):
         model = init_model(tiny_config())

@@ -7,7 +7,7 @@ from spiketrim.neuron import LifParams
 from spiketrim.rng import stream
 from spiketrim.selection import (Strategy, apply_merge, build_keep_mask,
                                  build_merge_assignment, mask_csv, merged_ssa,
-                                 pruned_ssa_batched)
+                                 pruned_ssa_batched, random_keys)
 from spiketrim.tensors import DenseTensor, SpikeTensor
 
 
@@ -44,50 +44,52 @@ class TestStrategy:
         with pytest.raises(ValueError):
             Strategy(kind="uncert-prune", lam=-1.0)
 
+    def test_unknown_score_mode(self):
+        # rejected when the plan is built, before any prefix runs
+        for kind in ("random-prune", "uncert-prune"):
+            with pytest.raises(ValueError, match="score mode"):
+                Strategy(kind=kind, score_mode="bogus")
+
 
 class TestKeepMask:
     def test_floor_arithmetic(self):
-        scores = DenseTensor(np.random.default_rng(0).random((1, 10)).astype(np.float32))
-        anchor = build_keep_mask(scores, 0.6, Strategy(kind="uncert-prune"))
+        scores = np.random.default_rng(0).random((1, 10)).astype(np.float32)
+        anchor = build_keep_mask(scores, 0.6)
         assert len(_kept(anchor[0])) == 6
 
     def test_keep_all(self):
-        scores = DenseTensor(np.zeros((1, 5), dtype=np.float32))
-        anchor = build_keep_mask(scores, 1.0, Strategy(kind="uncert-prune"))
+        anchor = build_keep_mask(np.zeros((1, 5), dtype=np.float32), 1.0)
         assert anchor.tolist() == [[0, 1, 2, 3, 4]]
 
     def test_derived_tie_cases(self):
-        scores = DenseTensor(np.array([[0.9, 0.1, 0.5, 0.5, 0.3]], dtype=np.float32))
-        hi = build_keep_mask(scores, 0.6, Strategy(kind="uncert-prune"))
-        lo = build_keep_mask(scores, 0.6, Strategy(kind="low-uncert-prune"))
+        # low-uncert-prune keeps the top negated scores
+        scores = np.array([[0.9, 0.1, 0.5, 0.5, 0.3]], dtype=np.float32)
+        hi = build_keep_mask(scores, 0.6)
+        lo = build_keep_mask(-scores, 0.6)
         assert hi.tolist() == [[0, -1, 2, 3, -1]]
         assert lo.tolist() == [[-1, 1, 2, -1, 4]]
 
     def test_zero_keep_rejected(self):
-        scores = DenseTensor(np.zeros((1, 3), dtype=np.float32))
         with pytest.raises(ValueError):
-            build_keep_mask(scores, 0.2, Strategy(kind="uncert-prune"))
+            build_keep_mask(np.zeros((1, 3), dtype=np.float32), 0.2)
 
     def test_random_deterministic_and_per_sample(self):
-        scores = DenseTensor(np.zeros((3, 12), dtype=np.float32))
-        strat = Strategy(kind="random-prune", seed=99)
-        m1 = build_keep_mask(scores, 0.5, strat)
-        m2 = build_keep_mask(scores, 0.5, strat)
+        m1 = build_keep_mask(random_keys(99, 3, 12), 0.5)
+        m2 = build_keep_mask(random_keys(99, 3, 12), 0.5)
         assert (m1 == m2).all()
         assert len({tuple(row) for row in m1.tolist()}) > 1  # samples differ
-        other = build_keep_mask(scores, 0.5, Strategy(kind="random-prune", seed=100))
+        other = build_keep_mask(random_keys(100, 3, 12), 0.5)
         assert (m1 != other).any()
 
     def test_random_rows_equal_per_sample_streams(self):
         # one batched draw equals each sample's own seeded stream
         for b in (1, 3, 256):
             for n in (1, 2, 64, 257):
-                scores = DenseTensor(np.zeros((b, n), dtype=np.float32))
+                keys = random_keys(b + n, b, n)
                 for ratio in (0.01, 0.3, 1.0):
                     if ratio * n < 1:
                         continue
-                    anchor = build_keep_mask(scores, ratio,
-                                             Strategy(kind="random-prune", seed=b + n))
+                    anchor = build_keep_mask(keys, ratio)
                     k = int(ratio * n)
                     for m in range(b):
                         rows = stream(b + n, f"random_prune/{m}").sample_without_replacement(n, k)
@@ -95,10 +97,9 @@ class TestKeepMask:
 
     def test_mask_invariants(self):
         # every row keeps floor(ratio * N) tokens at their own index, the rest -1
-        rng = np.random.default_rng(10)
-        scores = DenseTensor(rng.random((4, 10)).astype(np.float32))
-        for kind in ("uncert-prune", "low-uncert-prune", "random-prune"):
-            anchor = build_keep_mask(scores, 0.75, Strategy(kind=kind, seed=1))
+        scores = np.random.default_rng(10).random((4, 10)).astype(np.float32)
+        for keys in (scores, -scores, random_keys(1, 4, 10)):
+            anchor = build_keep_mask(keys, 0.75)
             assert anchor.shape == (4, 10) and anchor.dtype == np.int64
             own = anchor == np.arange(10)
             assert (own.sum(axis=1) == 7).all()

@@ -1,9 +1,15 @@
+import struct
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spiketrim.errors import ShapeError
-from spiketrim.tensorfile import (read_manifest, read_tensor, write_manifest,
-                                  write_tensor)
+from spiketrim.errors import ContractError, ShapeError
+from spiketrim.tensorfile import (MAGIC, read_manifest, read_tensor,
+                                  write_manifest, write_tensor)
 from spiketrim.tensors import DenseTensor, SpikeTensor
 
 
@@ -44,6 +50,37 @@ def test_truncated_payload(tmp_path):
     path.write_bytes(path.read_bytes()[:-2])
     with pytest.raises(ShapeError):
         read_tensor(path)
+
+
+@pytest.mark.parametrize("keep", [8, 10, 15])
+def test_truncated_header(tmp_path, keep):
+    # a rank-2 header needs 8 + 4 * 2 bytes before its payload
+    path = tmp_path / "s.spkt"
+    write_tensor(path, SpikeTensor(np.ones((2, 3), dtype=np.uint8)))
+    path.write_bytes(path.read_bytes()[:keep])
+    with pytest.raises(ShapeError, match="truncated"):
+        read_tensor(path)
+
+
+# headers that reach the dims and payload checks, and arbitrary bytes
+_HEADERS = st.builds(
+    lambda dtype, dims, rank, payload: (MAGIC + bytes([1, dtype, rank, 0])
+                                        + struct.pack(f"<{len(dims)}I", *dims) + payload),
+    st.integers(0, 2), st.lists(st.integers(0, 4), max_size=6), st.integers(0, 6),
+    st.binary(max_size=48))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.binary(max_size=64), _HEADERS))
+def test_any_bytes_load_or_raise_contract_errors(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "x.spkt"
+        path.write_bytes(raw)
+        try:
+            tensor = read_tensor(path)
+        except (ShapeError, ContractError):
+            return
+    assert isinstance(tensor, (DenseTensor, SpikeTensor))
 
 
 def test_binary_payload_validated(tmp_path):

@@ -36,6 +36,17 @@ class TestTensorTypes:
         with pytest.raises(ShapeError):
             SpikeTensor(np.array([0, 1, 2], dtype=np.uint8))
 
+    @pytest.mark.parametrize("values", [[0.5, 0.99, 1.0], [256], [-1], [0.0, np.nan]],
+                             ids=["fraction", "wraps", "negative", "nan"])
+    def test_spike_rejects_before_cast(self, values):
+        # the uint8 cast would turn each of these into a valid spike value
+        with pytest.raises(ShapeError):
+            SpikeTensor(np.array(values))
+
+    def test_spike_accepts_binary_of_any_dtype(self):
+        for arr in (np.array([0.0, 1.0]), np.array([0, 1]), np.array([False, True])):
+            assert SpikeTensor(arr).data.tolist() == [0, 1]
+
     def test_spike_casts_and_counts(self):
         t = SpikeTensor(np.array([[1, 0], [1, 1]]))
         assert t.data.dtype == np.uint8

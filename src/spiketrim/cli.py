@@ -15,7 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -45,20 +45,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_data_flags(p: argparse.ArgumentParser):
-    p.add_argument("--grid", type=int, default=8)
-    p.add_argument("--classes", type=int, default=4)
-    p.add_argument("--signature-tokens", type=int, default=4)
-    p.add_argument("--p-signal", type=float, default=0.9)
-    p.add_argument("--p-background", type=float, default=0.1)
-    p.add_argument("--channels", type=int, default=2)
-    p.add_argument("--train-samples", type=int, default=384)
-    p.add_argument("--test-samples", type=int, default=256)
+    for f in fields(SyntheticSpec):
+        p.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default),
+                       default=f.default)
 
 
 def _add_model_flags(p: argparse.ArgumentParser):
     p.add_argument("--tau", type=float, default=0.9)
     p.add_argument("--vth", type=float, default=1.0)
-    p.add_argument("--steps", type=int, default=4)
     p.add_argument("--attn-shift", type=int, default=1)
     p.add_argument("--insert-block", metavar="S.B",
                    help="insertion block (default: the model's own; 3.1 for a new model)")
@@ -66,18 +60,12 @@ def _add_model_flags(p: argparse.ArgumentParser):
 
 
 def _spec_from(args) -> SyntheticSpec:
-    return SyntheticSpec(
-        grid=args.grid, classes=args.classes,
-        signature_tokens=args.signature_tokens,
-        p_signal=args.p_signal, p_background=args.p_background,
-        channels=args.channels, steps=args.steps,
-        train_samples=args.train_samples, test_samples=args.test_samples,
-    )
+    return SyntheticSpec(**{f.name: getattr(args, f.name) for f in fields(SyntheticSpec)})
 
 
 def _model_config_from(args, spec: SyntheticSpec, seed: int) -> ModelConfig:
     return ModelConfig(
-        steps=args.steps, in_channels=spec.channels,
+        steps=spec.steps, in_channels=spec.channels,
         height=spec.grid, width=spec.grid, num_classes=spec.classes,
         lif=LifParams(tau=args.tau, v_th=args.vth), seed=seed,
         attn_shift=args.attn_shift,
@@ -93,7 +81,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("gen", help="synthesize a dataset to tensor files")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--steps", type=int, default=4)
     _add_data_flags(p)
 
     p = sub.add_parser("train-head", help="init model, fit ridge head, save")

@@ -9,16 +9,20 @@ provides a calibration ceiling for selection-quality checks.
 
 Generation is a pure function of (spec, seed): signature positions derive
 from the seed alone, split contents from (seed, split name).
+
+SyntheticSpec's fields are the one list of dataset settings: each is a
+`--name` flag of the CLI (underscores as dashes) and a key of a saved split's
+dataset.txt, next to `seed` and the split's `samples`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Union
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ContractError, ShapeError
 from .rng import stream
 from .tensorfile import (manifest_fields, read_manifest, read_tensor,
                          write_manifest, write_tensor)
@@ -128,43 +132,35 @@ def bayes_accuracy(ds: Dataset) -> float:
 def save_dataset(ds: Dataset, directory: Union[str, Path]) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    spec = ds.spec
-    write_manifest(directory / "dataset.txt", {
-        "grid": str(spec.grid),
-        "classes": str(spec.classes),
-        "signature_tokens": str(spec.signature_tokens),
-        "p_signal": repr(spec.p_signal),
-        "p_background": repr(spec.p_background),
-        "channels": str(spec.channels),
-        "steps": str(spec.steps),
-        "train_samples": str(spec.train_samples),
-        "test_samples": str(spec.test_samples),
-        "seed": str(ds.seed),
-        "samples": str(ds.labels.shape[0]),
-    })
+    entries = {f.name: str(getattr(ds.spec, f.name)) for f in fields(SyntheticSpec)}
+    entries.update(seed=str(ds.seed), samples=str(ds.labels.shape[0]))
+    write_manifest(directory / "dataset.txt", entries)
     write_tensor(directory / "frames.spkt", ds.frames)
     write_tensor(directory / "labels.spkt",
                  DenseTensor(ds.labels.astype(np.float32)))
 
 
 def load_dataset(directory: Union[str, Path]) -> Dataset:
+    """Load a split, checking its frames and labels against its manifest
+    before anything is derived from the manifest's values."""
     directory = Path(directory)
     path = directory / "dataset.txt"
     m = read_manifest(path)
     with manifest_fields(path):
-        spec = SyntheticSpec(
-            grid=int(m["grid"]),
-            classes=int(m["classes"]),
-            signature_tokens=int(m["signature_tokens"]),
-            p_signal=float(m["p_signal"]),
-            p_background=float(m["p_background"]),
-            channels=int(m["channels"]),
-            steps=int(m["steps"]),
-            train_samples=int(m["train_samples"]),
-            test_samples=int(m["test_samples"]),
-        )
-        seed = int(m["seed"])
-    frames = read_tensor(directory / "frames.spkt")
-    labels = read_tensor(directory / "labels.spkt").data.astype(np.int64)
-    return Dataset(frames=frames, labels=labels, spec=spec, seed=seed,
+        spec = SyntheticSpec(**{f.name: type(f.default)(m[f.name])
+                                for f in fields(SyntheticSpec)})
+        seed, samples = int(m["seed"]), int(m["samples"])
+    frames_path, labels_path = directory / "frames.spkt", directory / "labels.spkt"
+    frames = read_tensor(frames_path)
+    shape = (spec.steps, samples, spec.channels, spec.grid, spec.grid)
+    if not isinstance(frames, SpikeTensor) or frames.shape != shape:
+        raise ShapeError(f"{frames_path}: expected binary frames of shape {list(shape)}, "
+                         f"got {type(frames).__name__} {list(frames.shape)}")
+    labels = read_tensor(labels_path).data
+    if labels.shape != (samples,):
+        raise ShapeError(f"{labels_path}: expected {samples} labels, "
+                         f"got shape {list(labels.shape)}")
+    if not np.isin(labels, np.arange(spec.classes)).all():
+        raise ContractError(f"{labels_path}: labels must be integers in [0, {spec.classes})")
+    return Dataset(frames=frames, labels=labels.astype(np.int64), spec=spec, seed=seed,
                    signature_positions=signature_positions(spec, seed))

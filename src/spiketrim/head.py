@@ -69,16 +69,17 @@ def ridge_solve(x: np.ndarray, y: np.ndarray, l2: float) -> tuple[np.ndarray, np
     return w, b
 
 
-def fit_ridge(features: DenseTensor, labels: Sequence[int],
+def fit_ridge(features: DenseTensor, labels: Sequence[int], num_classes: int,
               cfg: RidgeConfig = RidgeConfig()) -> HeadWeights:
-    """Fit the head to one-hot targets; bias comes from centering."""
+    """Fit a num_classes-way head to one-hot targets; bias comes from
+    centering. A class absent from the labels still gets its column."""
     x = features.data.astype(np.float64)
     y_idx = np.asarray(list(labels), dtype=np.int64)
     if x.ndim != 2 or x.shape[0] != y_idx.shape[0] or x.shape[0] < 1:
         raise ValueError(f"features {x.shape} incompatible with {y_idx.shape[0]} labels")
-    c = int(y_idx.max()) + 1 if y_idx.size else 0
-    c = max(c, 2)
-    onehot = np.zeros((x.shape[0], c), dtype=np.float64)
+    if y_idx.min() < 0 or y_idx.max() >= num_classes:
+        raise ValueError(f"labels must lie in [0, {num_classes})")
+    onehot = np.zeros((x.shape[0], num_classes), dtype=np.float64)
     onehot[np.arange(x.shape[0]), y_idx] = 1.0
     w, b = ridge_solve(x, onehot, cfg.l2)
     return HeadWeights(DenseTensor(w.astype(np.float32)),
@@ -87,10 +88,11 @@ def fit_ridge(features: DenseTensor, labels: Sequence[int],
 
 def train_head(model: Model, frames, labels: Sequence[int],
                cfg: RidgeConfig = RidgeConfig()) -> HeadWeights:
-    """Run the unreduced forward pass, pool, and fit the ridge head."""
+    """Run the unreduced forward pass, pool, and fit the ridge head with the
+    model's own class count."""
     result = forward_full(model, frames)
     feats = pool_tokens(result.stage_tokens[-1])
-    head = fit_ridge(feats, labels, cfg)
+    head = fit_ridge(feats, labels, model.config.num_classes, cfg)
     model.head = head
     return head
 

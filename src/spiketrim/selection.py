@@ -39,7 +39,7 @@ import numpy as np
 
 from .backbone import SsaBlockWeights, ssa_forward
 from .efficiency import SopLedger
-from .errors import ShapeError
+from .errors import ConfigError, ShapeError
 from .neuron import LifParams, lif_sequence
 from .rng import permutations, stream_bases
 from .tensors import DenseTensor, SpikeTensor, spike_counts, topk_rows
@@ -61,11 +61,13 @@ class Strategy:
 
     def __post_init__(self):
         if self.kind not in STRATEGY_KINDS:
-            raise ValueError(f"unknown strategy kind {self.kind!r}")
+            raise ConfigError(f"unknown strategy {self.kind!r}; "
+                              f"expected one of {', '.join(STRATEGY_KINDS)}")
         if self.lam < 0:
-            raise ValueError("lambda must be non-negative")
+            raise ConfigError("lambda must be non-negative")
         if self.score_mode not in SCORE_MODES:
-            raise ValueError(f"unknown score mode {self.score_mode!r}")
+            raise ConfigError(f"unknown score mode {self.score_mode!r}; "
+                              f"expected one of {', '.join(SCORE_MODES)}")
 
 
 def n_keep(ratio: float, n_total: int) -> int:

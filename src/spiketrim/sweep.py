@@ -24,8 +24,7 @@ from .efficiency import energy_mj, reduction_percent
 from .engine import Prefix, ReductionPlan, forward_prefix, forward_suffix
 from .errors import ConfigError
 from .head import RidgeConfig, accuracies, train_head
-from .selection import STRATEGY_KINDS, Strategy
-from .uncertainty import SCORE_MODES
+from .selection import Strategy
 
 DEFAULT_RATIOS = (1.0, 0.8, 0.6, 0.4, 0.2)
 DEFAULT_SEEDS = (1, 2, 3, 4, 5)
@@ -48,17 +47,11 @@ class SweepConfig:
                              ("keep ratio", self.keep_ratios)):
             if not values:
                 raise ConfigError(f"at least one {name} required")
-        for name in self.strategies:
-            if name not in STRATEGY_KINDS:
-                raise ConfigError(f"unknown strategy {name!r}")
-        if self.score_mode not in SCORE_MODES:
-            raise ConfigError(f"unknown score mode {self.score_mode!r}; "
-                              f"expected one of {', '.join(SCORE_MODES)}")
+        for name in self.strategies:  # rejects a bad kind, lambda or score mode
+            Strategy(kind=name, lam=self.lam, score_mode=self.score_mode)
         for r in self.keep_ratios:
             if not 0.0 < r <= 1.0:
                 raise ConfigError(f"keep ratio {r} outside (0, 1]")
-        if self.lam < 0:
-            raise ConfigError("lambda must be non-negative")
 
 
 @dataclass(frozen=True)

@@ -97,7 +97,8 @@ def spike_counts(spikes: np.ndarray) -> np.ndarray:
 
 def topk_rows(keys: np.ndarray, k: int) -> np.ndarray:
     """[B, k] int64 indices of the k largest keys in each row of [B, N] real
-    keys, each row ascending; ties favor the smaller index.
+    keys of a signed or float dtype, each row ascending; ties favor the
+    smaller index.
 
     Deterministic by construction: one stable sort of -key orders every row
     by (-key, index) before truncation. Keys are ranked in their own dtype;
@@ -106,6 +107,8 @@ def topk_rows(keys: np.ndarray, k: int) -> np.ndarray:
     arr = np.asarray(keys)
     if arr.ndim != 2:
         raise ShapeError(f"topk_rows expects [B, N] keys, got shape {arr.shape}")
+    if arr.dtype.kind == "u":
+        raise ValueError(f"unsigned {arr.dtype} keys wrap under negation; pass a signed dtype")
     if not np.isfinite(arr).all():
         raise ValueError("scores must be finite")
     if not 0 <= k <= arr.shape[1]:

@@ -3,12 +3,16 @@ import os
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from spiketrim.cli import cli_main
+from spiketrim.data import SyntheticSpec, load_dataset
+from spiketrim.tensorfile import read_tensor, write_tensor
+from spiketrim.tensors import DenseTensor
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -38,6 +42,10 @@ class TestUsage:
 
     def test_unknown_strategy_exits_1(self):
         code, _ = run_cli(["run", "--strategy", "bogus"])
+        assert code == 1
+
+    def test_train_head_takes_steps_from_data(self):
+        code, _ = run_cli(["train-head", "--data", "d", "--out", "m", "--steps", "5"])
         assert code == 1
 
     def test_contract_error_exits_2(self):
@@ -191,6 +199,94 @@ class TestGenTrainRun:
         assert code == 0
         assert unc.read_text().splitlines()[0] == "sample,token,t,U"
         assert mask.read_text().splitlines()[0] == "sample,token,kept,anchor"
+
+
+def _non_default(f):
+    """A value of field f other than its default, valid with every other
+    field at its default."""
+    return f.default + 1 if isinstance(f.default, int) else f.default / 2
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
+def _float_frames(split: Path):
+    path = split / "frames.spkt"
+    write_tensor(path, DenseTensor(read_tensor(path).data))
+
+
+def _manifest_line(line: str):
+    def damage(split: Path):
+        key = line.split("=", 1)[0]
+        TestGenTrainRun._drop_key(split / "dataset.txt", key)
+        with open(split / "dataset.txt", "a") as fh:
+            fh.write(line + "\n")
+    return damage
+
+
+def _first_label(value: float):
+    def damage(split: Path):
+        labels = read_tensor(split / "labels.spkt").data.copy()
+        labels[0] = value
+        write_tensor(split / "labels.spkt", DenseTensor(labels))
+    return damage
+
+
+class TestDatasetSpec:
+    # every SyntheticSpec field, set away from its default through its flag
+    NON_DEFAULT = {f.name: _non_default(f) for f in fields(SyntheticSpec)}
+
+    @pytest.fixture(scope="class")
+    def non_default_spec(self, tmp_path_factory):
+        data = tmp_path_factory.mktemp("spec") / "data"
+        argv = ["gen", "--out", str(data)]
+        for name, value in self.NON_DEFAULT.items():
+            argv += [_flag(name), str(value)]
+        assert run_cli(argv)[0] == 0
+        return load_dataset(data / "test").spec
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(SyntheticSpec)])
+    def test_gen_manifest_roundtrip(self, non_default_spec, name):
+        value = self.NON_DEFAULT[name]
+        assert value != getattr(SyntheticSpec(), name)
+        assert getattr(non_default_spec, name) == value
+        assert non_default_spec == SyntheticSpec(**self.NON_DEFAULT)
+
+    def test_data_fixes_steps(self, tmp_path):
+        # a dataset with T = 5 trains and runs a T = 5 model, no flag needed
+        data, model = tmp_path / "data", tmp_path / "model"
+        assert run_cli(["gen", "--out", str(data), "--seed", "5", "--steps", "5",
+                        "--grid", "6", "--classes", "3", "--signature-tokens", "2",
+                        "--channels", "1", "--train-samples", "40",
+                        "--test-samples", "20", "--p-signal", "0.75",
+                        "--p-background", "0.35"])[0] == 0
+        assert run_cli(["train-head", "--data", str(data), "--out", str(model),
+                        "--seed", "3"])[0] == 0
+        argv = ["run", "--data", str(data), "--strategy", "uncert-prune",
+                "--keep-ratio", "0.5", "--seed", "3"]
+        code, trained = run_cli(argv)
+        assert code == 0
+        assert metrics(trained)["logits_sha256"].startswith("a54469de")
+        assert run_cli(argv + ["--model", str(model)]) == (0, trained)
+
+    @pytest.mark.parametrize("name, damage", [
+        ("frames.spkt", _float_frames),
+        ("frames.spkt", _manifest_line("grid=300")),
+        ("frames.spkt", _manifest_line("samples=7")),
+        ("labels.spkt", _first_label(9)),
+        ("labels.spkt", _first_label(-1)),
+        ("labels.spkt", _first_label(1.5)),
+    ], ids=["float-frames", "grid", "samples", "label-9", "label-neg", "label-frac"])
+    def test_malformed_dataset_exits_2(self, tmp_path, capsys, name, damage):
+        data = tmp_path / "data"
+        assert run_cli(["gen", "--out", str(data), "--seed", "3", *SMALL])[0] == 0
+        damage(data / "test")
+        code, _ = run_cli(["run", "--data", str(data)])
+        err = capsys.readouterr().err
+        path = data / "test" / name
+        assert code == 2
+        assert err.count("\n") == 1 and str(path) in err and "Traceback" not in err
 
 
 class TestSweepSop:

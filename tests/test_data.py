@@ -1,10 +1,18 @@
+import shutil
+import tempfile
+from dataclasses import fields
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spiketrim.data import (Dataset, SyntheticSpec, bayes_accuracy,
                             load_dataset, save_dataset, signature_positions,
                             synth_dataset)
-from spiketrim.errors import ConfigError
+from spiketrim.errors import ConfigError, ContractError, ShapeError
+from spiketrim.tensorfile import read_manifest
 
 
 class TestSpec:
@@ -91,3 +99,43 @@ class TestIo:
         assert (back.labels == train.labels).all()
         assert back.spec == spec
         assert back.signature_positions == train.signature_positions
+
+
+@pytest.fixture(scope="module")
+def small_split(tmp_path_factory):
+    spec = SyntheticSpec(grid=3, classes=2, signature_tokens=1, channels=1,
+                         steps=2, train_samples=4, test_samples=3)
+    directory = tmp_path_factory.mktemp("split")
+    save_dataset(synth_dataset(spec, 2)[1], directory)
+    return directory
+
+
+_KEYS = [f.name for f in fields(SyntheticSpec)] + ["seed", "samples"]
+# fixed alphabets keep hypothesis from building its unicode tables
+_VALUES = st.one_of(st.integers(0, 6).map(str), st.integers().map(str),
+                    st.floats().map(repr), st.text("0123456789.-e_ =#xé", max_size=8))
+
+
+@settings(max_examples=50, deadline=None)
+@given(drop=st.sets(st.sampled_from(_KEYS), max_size=1),
+       change=st.dictionaries(st.sampled_from(_KEYS), _VALUES, max_size=3),
+       extra=st.one_of(st.just(""), st.text("01.=#\nxé", max_size=12)))
+def test_any_manifest_loads_or_raises_contract_errors(small_split, drop, change, extra):
+    # valid frames and labels under a valid, mangled or arbitrary manifest
+    entries = {k: v for k, v in read_manifest(small_split / "dataset.txt").items()
+               if k not in drop}
+    entries.update(change)
+    with tempfile.TemporaryDirectory() as tmp:
+        split = Path(tmp)
+        for name in ("frames.spkt", "labels.spkt"):
+            shutil.copy(small_split / name, split / name)
+        text = "".join(f"{k}={v}\n" for k, v in entries.items()) + extra
+        (split / "dataset.txt").write_bytes(text.encode("utf-8"))
+        try:
+            ds = load_dataset(split)
+        except (ShapeError, ContractError, ConfigError):
+            return
+    spec = ds.spec
+    assert ds.frames.shape == (spec.steps, ds.labels.shape[0], spec.channels,
+                               spec.grid, spec.grid)
+    assert ((0 <= ds.labels) & (ds.labels < spec.classes)).all()

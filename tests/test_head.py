@@ -67,7 +67,7 @@ class TestFitRidge:
         centers = np.eye(3) * 4
         labels = rng.integers(0, 3, size=90)
         x = centers[labels] + rng.normal(scale=0.05, size=(90, 3))
-        head = fit_ridge(DenseTensor(x.astype(np.float32)), labels)
+        head = fit_ridge(DenseTensor(x.astype(np.float32)), labels, 3)
         pred = np.argmax(x @ head.w.data.astype(np.float64)
                          + head.b.data.astype(np.float64), axis=1)
         assert (pred == labels).mean() == 1.0
@@ -78,7 +78,24 @@ class TestFitRidge:
 
     def test_label_count_mismatch(self):
         with pytest.raises(ValueError):
-            fit_ridge(DenseTensor(np.zeros((3, 2), dtype=np.float32)), [0, 1])
+            fit_ridge(DenseTensor(np.zeros((3, 2), dtype=np.float32)), [0, 1], 2)
+
+    @pytest.mark.parametrize("label", [-1, 3])
+    def test_label_outside_classes(self, label):
+        # a negative label would index the last one-hot column
+        with pytest.raises(ValueError, match=r"\[0, 3\)"):
+            fit_ridge(DenseTensor(np.eye(3, dtype=np.float32)), [0, 1, label], 3)
+
+    def test_class_count_from_model(self):
+        # seed 1's three train labels are [4, 4, 3]: no sample of classes 0-2
+        # or 5, yet the head still scores all six of the model's classes
+        spec = SyntheticSpec(classes=6, train_samples=3, test_samples=2)
+        train, test = synth_dataset(spec, 1)
+        assert train.labels.tolist() == [4, 4, 3]
+        model = init_model(ModelConfig(num_classes=6))
+        head = train_head(model, train.frames, train.labels)
+        assert head.w.shape[1] == head.b.shape[0] == 6
+        assert eval_metrics(model, test.frames, test.labels)[2].logits.shape == (2, 6)
 
 
 class TestPooling:

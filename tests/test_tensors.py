@@ -191,6 +191,14 @@ class TestTopK:
         with pytest.raises(ValueError):
             topk_rows(np.array([[0.0, 1.0], [np.nan, 1.0]]), 1)
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint64])
+    def test_rejects_unsigned_keys(self, dtype):
+        # -key wraps for unsigned dtypes: the top-1 of [0, 3, 1, 0] would be 0
+        keys = np.array([[0, 3, 1, 0]])
+        assert topk_rows(keys.astype(np.int64), 1).tolist() == [[1]]
+        with pytest.raises(ValueError, match="unsigned"):
+            topk_rows(keys.astype(dtype), 1)
+
     def test_rejects_flat_keys(self):
         with pytest.raises(ShapeError):
             topk_rows(np.array([1.0, 2.0]), 1)

@@ -10,8 +10,7 @@ from .efficiency import (EnergyModel, SopLedger, count_attention, count_linear,
 from .engine import (ForwardResult, Prefix, ReductionPlan, forward_full,
                      forward_prefix, forward_suffix, pool_tokens)
 from .errors import ConfigError, ContractError, CountOverflowError, ShapeError
-from .head import (RidgeConfig, accuracies, eval_metrics, fit_ridge, ridge_solve,
-                   train_head)
+from .head import RidgeConfig, accuracies, fit_ridge, ridge_solve, train_head
 from .neuron import LifParams, LifState, lif_sequence, lif_step
 from .selection import (Strategy, apply_merge, build_keep_mask,
                         build_merge_assignment, merged_ssa, pruned_ssa_batched)

@@ -40,7 +40,7 @@ zero-input -> zero-spike law.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Union
 
@@ -132,9 +132,9 @@ class ModelConfig:
             raise ConfigError(f"stage widths {widths} differ; every stage needs one width")
         self.parse_insert()
 
-    def parse_insert(self) -> tuple[int, int]:
-        """insert_block 'S.B' -> (stage index 0-based, block index 0-based);
-        S is 1-based."""
+    def parse_insert(self) -> int:
+        """insert_block 'S.B' (S 1-based, B 0-based within stage S) -> the
+        block's position in Model.flat_blocks."""
         text = self.insert_block
         try:
             s_str, b_str = text.split(".")
@@ -143,7 +143,7 @@ class ModelConfig:
             raise ConfigError(f"bad insert block {text!r}, expected 'S.B'") from exc
         if not 0 <= s < len(self.stages) or not 0 <= b < self.stages[s].blocks:
             raise ConfigError(f"insert block {text!r} outside model layout")
-        return s, b
+        return sum(st.blocks for st in self.stages[:s]) + b
 
 
 @dataclass(frozen=True)
@@ -191,6 +191,11 @@ class Model:
     embed_w: DenseTensor  # [N, patch*patch*in_channels, D]
     blocks: list[list[SsaBlockWeights]]  # per stage
     head: HeadWeights
+
+    @property
+    def flat_blocks(self) -> list[SsaBlockWeights]:
+        """Every block in forward order, stage by stage."""
+        return [blk for stage in self.blocks for blk in stage]
 
 
 def init_model(config: ModelConfig) -> Model:
@@ -397,6 +402,8 @@ def token_logits(z, head: HeadWeights) -> DenseTensor:
 # --- serialization ---------------------------------------------------------
 
 _FORMAT = "1"
+# a block's weight file <label>.<name>.spkt holds its field attr, as (name, attr)
+_BLOCK_FILES = (("wq", "w_q"), ("wk", "w_k"), ("wv", "w_v"), ("wproj", "w_proj"))
 
 
 def save_model(model: Model, directory: Union[str, Path]) -> None:
@@ -425,11 +432,9 @@ def save_model(model: Model, directory: Union[str, Path]) -> None:
         entries[f"stage{i + 1}.w_scales"] = ",".join(repr(s) for s in st.w_scales)
     write_manifest(directory / "manifest.txt", entries)
     write_tensor(directory / "embed.spkt", model.embed_w)
-    for s, stage_blocks in enumerate(model.blocks):
-        for bb, blk in enumerate(stage_blocks):
-            for name, tensor in (("wq", blk.w_q), ("wk", blk.w_k),
-                                 ("wv", blk.w_v), ("wproj", blk.w_proj)):
-                write_tensor(directory / f"stage{s + 1}.block{bb}.{name}.spkt", tensor)
+    for blk in model.flat_blocks:
+        for name, attr in _BLOCK_FILES:
+            write_tensor(directory / f"{blk.label}.{name}.spkt", getattr(blk, attr))
     write_tensor(directory / "head.w.spkt", model.head.w)
     write_tensor(directory / "head.b.spkt", model.head.b)
 
@@ -469,16 +474,9 @@ def load_model(directory: Union[str, Path]) -> Model:
         )
     model = init_model(cfg)
     model.embed_w = read_tensor(directory / "embed.spkt")
-    for s in range(len(cfg.stages)):
-        for bb in range(cfg.stages[s].blocks):
-            tensors = {
-                name: read_tensor(directory / f"stage{s + 1}.block{bb}.{name}.spkt")
-                for name in ("wq", "wk", "wv", "wproj")
-            }
-            model.blocks[s][bb] = SsaBlockWeights(
-                tensors["wq"], tensors["wk"], tensors["wv"], tensors["wproj"],
-                lif=cfg.lif, shift=cfg.attn_shift, label=f"stage{s + 1}.block{bb}",
-            )
+    model.blocks = [[replace(blk, **{attr: read_tensor(directory / f"{blk.label}.{name}.spkt")
+                                     for name, attr in _BLOCK_FILES})
+                     for blk in stage] for stage in model.blocks]
     model.head = HeadWeights(read_tensor(directory / "head.w.spkt"),
                              read_tensor(directory / "head.b.spkt"))
     return model

@@ -23,13 +23,13 @@ import numpy as np
 from .backbone import ModelConfig, init_model, load_model, save_model
 from .data import (SyntheticSpec, bayes_accuracy, load_dataset, save_dataset,
                    synth_dataset)
-from .head import RidgeConfig, accuracies, eval_metrics, train_head
+from .head import RidgeConfig, accuracies, train_head
 from .neuron import LifParams
 from .selection import STRATEGY_KINDS, mask_csv
 from .sweep import (SweepConfig, build_plan, parse_config_text, prepared_model,
                     rows_csv, run_sweep, sop_rows, sweep_config_from_entries)
 from .efficiency import energy_mj, sop_report_csv
-from .engine import forward_prefix, forward_suffix
+from .engine import forward_full, forward_prefix, forward_suffix
 from .selftest import run_selftest
 from .svg import emit_svg_lines
 from .uncertainty import SCORE_MODES, trajectory_csv
@@ -44,10 +44,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _flag(f) -> str:
+    return f"--{f.name.replace('_', '-')}"
+
+
 def _add_data_flags(p: argparse.ArgumentParser):
     for f in fields(SyntheticSpec):
-        p.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default),
-                       default=f.default)
+        p.add_argument(_flag(f), type=type(f.default), default=f.default)
 
 
 def _add_model_flags(p: argparse.ArgumentParser):
@@ -142,7 +145,7 @@ def _cmd_train_head(args) -> int:
     model = init_model(cfg)
     train_head(model, train.frames, train.labels, RidgeConfig(l2=args.l2))
     save_model(model, args.out)
-    acc1, acc5, _ = eval_metrics(model, train.frames, train.labels)
+    acc1, _ = accuracies(forward_full(model, train.frames).logits, train.labels)
     print(f"train_acc1={acc1:.6f}")
     print(f"saved model to {args.out}")
     return 0
@@ -150,6 +153,10 @@ def _cmd_train_head(args) -> int:
 
 def _prepare_run(args):
     if args.data:
+        ignored = [_flag(f) for f in fields(SyntheticSpec)
+                   if getattr(args, f.name) != f.default]
+        if ignored:
+            raise _UsageError(f"{', '.join(ignored)} ignored: --data fixes the dataset")
         test = load_dataset(Path(args.data) / "test")
         if args.model:
             model = load_model(args.model)
@@ -199,6 +206,8 @@ def _cmd_sweep(args) -> int:
     entries = {}
     if args.config:
         entries = parse_config_text(Path(args.config).read_text())
+    # the file's insertion block is the model's and wins over the flag
+    args.insert_block = entries.pop("insert_block", args.insert_block)
     if args.strategies:
         entries["strategies"] = args.strategies
     if args.ratios:
@@ -209,8 +218,6 @@ def _cmd_sweep(args) -> int:
         entries["lambda"] = str(args.lam)
     if args.score_mode:
         entries["score_mode"] = args.score_mode
-    if args.insert_block:
-        entries.setdefault("insert_block", args.insert_block)
     entries.setdefault("l2", repr(args.l2))
     cfg = sweep_config_from_entries(entries)
     spec = _spec_from(args)
@@ -261,11 +268,10 @@ def cli_main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    try:
-        return _COMMANDS[args.command](args)
     except (ValueError, OverflowError, OSError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,18 +1,18 @@
 """End-to-end forward pass with optional token reduction at one block, split
 at the insertion block.
 
-The insertion block is the model's (ModelConfig.insert_block); a reduction
-plan says only how to reduce there: a strategy and a keep ratio.
+The model's blocks run as one list, Model.flat_blocks, and the insertion
+block is one position i in it (ModelConfig.parse_insert); a reduction plan
+says only how to reduce there: a strategy and a keep ratio.
 forward_prefix is the one place that wraps and validates the input: spike
 frames [T,B,n,H,W] with T = steps, every value 0 or 1. It runs patch
-embedding and the attention blocks before the insertion block.
-Nothing in it depends on the reduction plan, so one prefix serves every
-strategy and keep ratio. forward_suffix copies the prefix's ledger entries,
-runs the insertion block (unreduced, pruned or merged), the remaining
-blocks, mean-pools the final tokens over time and space, and maps the pooled
-feature through the classifier head. It never modifies the prefix, so any
-number of suffixes can run on one. forward_full is forward_suffix on a fresh
-prefix.
+embedding and blocks[:i]. Nothing in it depends on the reduction plan, so
+one prefix serves every strategy and keep ratio. forward_suffix copies the
+prefix's ledger entries, runs block i (unreduced, pruned or merged), then
+blocks[i+1:], mean-pools the final tokens over time and space, and maps the
+pooled feature through the classifier head. It never modifies the prefix, so
+any number of suffixes can run on one. forward_full is forward_suffix on a
+fresh prefix.
 
 The insertion block follows one rule. Strategy kind `none`, or keep ratio
 1.0 with any strategy, runs the block unreduced and records every token as
@@ -72,7 +72,7 @@ class SelectionDetail:
 @dataclass
 class ForwardResult:
     logits: DenseTensor  # [B, C]
-    stage_tokens: list[SpikeTensor]
+    tokens: SpikeTensor  # the last block's output, which the head pools
     ledger: SopLedger
     selection: SelectionDetail
 
@@ -80,20 +80,16 @@ class ForwardResult:
 @dataclass
 class Prefix:
     """The forward pass up to the insertion block's input. tokens is that
-    input [T,B,N,D]; stage_tokens holds the outputs of the stages before the
-    insertion stage; ledger holds the ops charged so far."""
+    input [T,B,N,D]; ledger holds the ops charged so far; insert is the
+    block's position in Model.flat_blocks and label its ledger label prefix,
+    e.g. stage3.block1."""
 
     tokens: SpikeTensor
-    stage_tokens: list[SpikeTensor]
     ledger: SopLedger
-    insert: tuple[int, int]  # (stage, block), 0-based
+    insert: int
+    label: str
     _trajectories: Optional[tuple[HeadWeights, np.ndarray]] = field(
         default=None, repr=False)
-
-    @property
-    def label(self) -> str:
-        """Ledger label prefix of the insertion block, e.g. stage3.block1."""
-        return f"stage{self.insert[0] + 1}.block{self.insert[1]}"
 
     def trajectories(self, head: HeadWeights) -> np.ndarray:
         """[T,B,N] uncertainty of the insertion input under head, computed
@@ -126,28 +122,23 @@ def forward_prefix(model: Model, frames) -> Prefix:
         raise ConfigError(f"input {shape} does not match config [steps,B,n,H,W] = "
                           f"[{cfg.steps},B,{cfg.in_channels},{cfg.height},{cfg.width}]")
 
-    insert = cfg.parse_insert()
+    insert, blocks = cfg.parse_insert(), model.flat_blocks
     ledger = SopLedger()
     x = patch_embed(frames, cfg.patch, model.embed_w, cfg.lif, ledger)
-    stage_tokens: list[SpikeTensor] = []
-    for s in range(insert[0] + 1):
-        last = insert[1] if s == insert[0] else len(model.blocks[s])
-        for block in model.blocks[s][:last]:
-            x = ssa_forward(x, block, ledger)
-        if s < insert[0]:
-            stage_tokens.append(x)
-    return Prefix(tokens=x, stage_tokens=stage_tokens, ledger=ledger, insert=insert)
+    for block in blocks[:insert]:
+        x = ssa_forward(x, block, ledger)
+    return Prefix(tokens=x, ledger=ledger, insert=insert, label=blocks[insert].label)
 
 
 def forward_suffix(model: Model, prefix: Prefix,
                    plan: Optional[ReductionPlan] = None) -> ForwardResult:
     """The insertion block under plan, the blocks after it, pool and head."""
-    s_ins, b_ins = prefix.insert
+    blocks = model.flat_blocks
     ledger = SopLedger()
     for label, (sa, mac) in prefix.ledger.entries.items():
         ledger.add(label, sa, mac)
 
-    x, block = prefix.tokens, model.blocks[s_ins][b_ins]
+    x, block = prefix.tokens, blocks[prefix.insert]
     if plan is not None and plan.reduces:
         x, detail = _reduced_block(model, prefix, block, plan, ledger)
     else:
@@ -155,15 +146,10 @@ def forward_suffix(model: Model, prefix: Prefix,
         detail = SelectionDetail(anchor=np.tile(np.arange(n, dtype=np.int64), (b, 1)))
         x = ssa_forward(x, block, ledger)
 
-    stage_tokens = list(prefix.stage_tokens)
-    for s in range(s_ins, len(model.blocks)):
-        for block in model.blocks[s][b_ins + 1 if s == s_ins else 0:]:
-            x = ssa_forward(x, block, ledger)
-        stage_tokens.append(x)
-    pooled = pool_tokens(x)
-    logits = token_logits(pooled, model.head)
-    return ForwardResult(logits=logits, stage_tokens=stage_tokens, ledger=ledger,
-                         selection=detail)
+    for block in blocks[prefix.insert + 1:]:
+        x = ssa_forward(x, block, ledger)
+    logits = token_logits(pool_tokens(x), model.head)
+    return ForwardResult(logits=logits, tokens=x, ledger=ledger, selection=detail)
 
 
 def forward_full(model: Model, frames,

@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .backbone import HeadWeights, Model
-from .engine import ForwardResult, ReductionPlan, forward_full, pool_tokens
+from .engine import forward_full, pool_tokens
 from .tensors import DenseTensor, topk_rows
 
 
@@ -91,7 +91,7 @@ def train_head(model: Model, frames, labels: Sequence[int],
     """Run the unreduced forward pass, pool, and fit the ridge head with the
     model's own class count."""
     result = forward_full(model, frames)
-    feats = pool_tokens(result.stage_tokens[-1])
+    feats = pool_tokens(result.tokens)
     head = fit_ridge(feats, labels, model.config.num_classes, cfg)
     model.head = head
     return head
@@ -103,9 +103,10 @@ def predictions(logits: DenseTensor) -> np.ndarray:
 
 
 def accuracies(logits: DenseTensor, labels: Sequence[int]) -> tuple[float, float]:
-    """(top-1, top-5) accuracy of [B, C] logits against B labels. With fewer
-    than five classes the top-5 value degenerates to top-1 by construction;
-    callers flag that in their report headers."""
+    """(top-1, top-5) accuracy of [B, C] logits against B labels. Top-5 takes
+    the top min(5, C) classes: with fewer than five classes that is every
+    class and top-5 accuracy is 1.0, so sweep.evaluate_cell reports top-1 in
+    its place and rows_csv flags the column."""
     y = np.asarray(list(labels), dtype=np.int64)
     if y.shape[0] != logits.shape[0]:
         raise ValueError("label count does not match batch")
@@ -113,11 +114,3 @@ def accuracies(logits: DenseTensor, labels: Sequence[int]) -> tuple[float, float
     topk = topk_rows(logits.data, min(5, logits.shape[1]))
     acc5 = float((topk == y[:, None]).any(axis=1).mean())
     return acc1, acc5
-
-
-def eval_metrics(model: Model, frames, labels: Sequence[int],
-                 reduction: ReductionPlan | None = None) -> tuple[float, float, ForwardResult]:
-    """(top-1 accuracy, top-5 accuracy, forward result) on one batch."""
-    result = forward_full(model, frames, reduction=reduction)
-    acc1, acc5 = accuracies(result.logits, labels)
-    return acc1, acc5, result

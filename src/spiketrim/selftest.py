@@ -262,7 +262,7 @@ def check_active_token_block():
     cfg = ModelConfig(steps=3, in_channels=1, height=2, width=4, num_classes=2,
                       stages=(StageConfig(channels=8, blocks=1, w_scales=1.0),),
                       insert_block="1.0", seed=3)
-    block = init_model(cfg).blocks[0][0]
+    block = init_model(cfg).flat_blocks[0]
     rng = np.random.default_rng(5)
     active = np.array([[0] * 8, [1, 1, 0, 1, 1, 1, 0, 1], [0, 1, 0, 0, 1, 1, 0, 0]],
                       dtype=bool)

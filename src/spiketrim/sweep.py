@@ -1,9 +1,8 @@
 """Experiment sweeps over selection strategies, keep ratios, and seeds.
 
-A sweep config's insert_block, when set, replaces the model config's
-insertion block once before any seed runs; plans carry only a strategy and a
-keep ratio. Each seed synthesizes its dataset, initializes its model and fits
-the ridge head on the unreduced train split. Every cell of the seed then
+The insertion block is the model config's; plans carry only a strategy and
+a keep ratio. Each seed synthesizes its dataset, initializes its model and
+fits the ridge head on the unreduced train split. Every cell of the seed then
 evaluates the test split with the cell's reduction applied at the insertion
 block. The blocks before that block do not depend on the reduction, so they
 run once per seed (engine.forward_prefix), and the cells that leave the
@@ -38,7 +37,6 @@ class SweepConfig:
     keep_ratios: tuple[float, ...] = DEFAULT_RATIOS
     seeds: tuple[int, ...] = DEFAULT_SEEDS
     lam: float = 0.9
-    insert_block: Optional[str] = None  # None = the model config's own
     score_mode: str = "full"
     l2: float = 1e-3
 
@@ -84,7 +82,7 @@ def parse_config_text(text: str) -> dict[str, str]:
 
 
 SWEEP_CONFIG_KEYS = ("strategies", "keep_ratios", "seeds", "lambda",
-                     "insert_block", "score_mode", "l2")
+                     "score_mode", "l2")
 
 
 def sweep_config_from_entries(entries: dict[str, str]) -> SweepConfig:
@@ -101,8 +99,6 @@ def sweep_config_from_entries(entries: dict[str, str]) -> SweepConfig:
         kwargs["seeds"] = tuple(int(s) for s in entries["seeds"].split(","))
     if "lambda" in entries:
         kwargs["lam"] = float(entries["lambda"])
-    if "insert_block" in entries:
-        kwargs["insert_block"] = entries["insert_block"]
     if "score_mode" in entries:
         kwargs["score_mode"] = entries["score_mode"]
     if "l2" in entries:
@@ -139,8 +135,6 @@ def evaluate_cell(model: Model, prefix: Prefix, labels,
 
 def run_sweep(cfg: SweepConfig, model_config: ModelConfig,
               spec: SyntheticSpec) -> list[ResultRow]:
-    if cfg.insert_block is not None:
-        model_config = replace(model_config, insert_block=cfg.insert_block)
     rows: list[ResultRow] = []
     for seed in cfg.seeds:
         model, _, test = prepared_model(model_config, spec, seed, cfg.l2)

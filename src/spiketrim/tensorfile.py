@@ -81,8 +81,12 @@ def write_manifest(path: Union[str, Path], entries: dict[str, str]) -> None:
 
 def read_manifest(path: Union[str, Path]) -> dict[str, str]:
     """Parse key=value lines; blank lines and #-comments are ignored."""
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ContractError(f"{path}: not UTF-8: {exc}") from None
     out: dict[str, str] = {}
-    for line in Path(path).read_bytes().decode("utf-8").splitlines():
+    for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue

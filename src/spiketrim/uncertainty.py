@@ -29,9 +29,9 @@ def _softplus(x: np.ndarray) -> np.ndarray:
     return np.where(x > 0, x + np.log1p(np.exp(-ax)), np.log1p(np.exp(-ax)))
 
 
-def uncertainty_trajectories(stage_tokens: SpikeTensor, head: HeadWeights) -> np.ndarray:
+def uncertainty_trajectories(tokens: SpikeTensor, head: HeadWeights) -> np.ndarray:
     """Per-token uncertainty over time: [T,B,N,D] tokens -> float64 [T,B,N]."""
-    logits = token_logits(stage_tokens, head)  # [T,B,N,C]
+    logits = token_logits(tokens, head)  # [T,B,N,C]
     e = _softplus(logits.data.astype(np.float64))
     c = e.shape[-1]
     return c / (c + e.sum(axis=-1))

@@ -8,6 +8,7 @@ independent evaluation of that seed's test split.
 import io
 import time
 from contextlib import redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ import pytest
 from spiketrim.backbone import ModelConfig
 from spiketrim.cli import cli_main
 from spiketrim.data import SyntheticSpec, bayes_accuracy
-from spiketrim.engine import ReductionPlan, forward_full
+from spiketrim.engine import ReductionPlan, forward_full, forward_prefix
 from spiketrim.head import predictions
 from spiketrim.selection import Strategy, build_keep_mask
 from spiketrim.sweep import (SweepConfig, build_plan, parse_config_text,
@@ -142,7 +143,8 @@ def test_criterion_5_score_ablations(prepared):
 
     # lambda = 0 must reproduce the mean-only keep sets exactly
     model, test = prepared[1]
-    stage = forward_full(model, test.frames).stage_tokens[-2]
+    at_stage3 = replace(model, config=replace(model.config, insert_block="3.0"))
+    stage = forward_prefix(at_stage3, test.frames).tokens  # stage 2's output
     u = uncertainty_trajectories(stage, model.head)
     lam0 = score_tokens(u, lam=0.0, mode="full")
     mean_only = score_tokens(u, mode="mean_only")
@@ -156,8 +158,7 @@ def test_criterion_5_score_ablations(prepared):
 def test_criterion_6_sop_structure(prepared):
     t0 = time.time()
     model, test = prepared[1]
-    s, b = model.config.parse_insert()
-    prefix = f"stage{s + 1}.block{b}"
+    prefix = model.flat_blocks[model.config.parse_insert()].label
     sops, totals = [], []
     for ratio in (1.0, 0.8, 0.6, 0.4):
         plan = build_plan(CFG, "uncert-prune", ratio, 1)

@@ -40,9 +40,12 @@ class TestConfig:
                                  StageConfig(channels=16, blocks=2)))
 
     def test_insert_block_parse(self):
+        # 'S.B' is a position in the blocks taken stage by stage: 1.0 2.0 2.1
         cfg = small_config()
-        assert cfg.parse_insert() == (1, 1)
-        assert small_config(insert_block="1.0").parse_insert() == (0, 0)
+        assert cfg.parse_insert() == 2
+        assert init_model(cfg).flat_blocks[2].label == "stage2.block1"
+        assert small_config(insert_block="1.0").parse_insert() == 0
+        assert small_config(insert_block="2.0").parse_insert() == 1
         # the config rejects a block outside its layout when it is built
         for block in ("3.0", "2.2", "nonsense"):
             with pytest.raises(ConfigError):
@@ -69,12 +72,10 @@ class TestInit:
         # default config drives responsive tokens into a sparse-burst band;
         # mean rate over firing tokens sits inside [0.05, 0.5]
         from spiketrim.data import SyntheticSpec, synth_dataset
-        from spiketrim.engine import forward_full
-        cfg = ModelConfig(seed=3)
-        model = init_model(cfg)
+        from spiketrim.engine import forward_prefix
+        model = init_model(ModelConfig(seed=3, insert_block="2.0"))
         _, test = synth_dataset(SyntheticSpec(test_samples=64), 3)
-        res = forward_full(model, test.frames)
-        x = res.stage_tokens[0].data  # [T,B,N,D]
+        x = forward_prefix(model, test.frames).tokens.data  # stage 1's output [T,B,N,D]
         token_active = x.any(axis=(0, 3))
         rates = x.mean(axis=(0, 3))[token_active]
         assert 0.05 <= float(rates.mean()) <= 0.5
@@ -400,21 +401,18 @@ class TestSilentQueries:
     def test_default_quiet_blocks_skip_attention(self, monkeypatch):
         # the default model's w_scale 0.0625 blocks on real stage-1 tokens
         from spiketrim.data import SyntheticSpec, synth_dataset
-        from spiketrim.engine import forward_prefix
         model = init_model(ModelConfig(seed=3))
         _, test = synth_dataset(SyntheticSpec(test_samples=32), 3)
         cfg = model.config
-        prefix = forward_prefix(model, test.frames)
-        # blocks 1.0, 2.0 and 3.0 with their inputs: the embedding, then
-        # the output of the stage before
-        inputs = [patch_embed(test.frames, cfg.patch, model.embed_w, cfg.lif),
-                  *prefix.stage_tokens]
+        # blocks 1.0, 2.0 and 3.0 each pass their input through unchanged,
+        # so every one of them, and block 3.1, sees the embedding
+        x = patch_embed(test.frames, cfg.patch, model.embed_w, cfg.lif)
         seen = _count_attention_samples(monkeypatch)
-        for tokens, stage in zip(inputs, model.blocks):
-            assert ssa_forward(tokens, stage[0]).data.tobytes() == tokens.data.tobytes()
+        for block in model.flat_blocks[:3]:
+            assert ssa_forward(x, block).data.tobytes() == x.data.tobytes()
         assert seen == [0] * 3 * model.config.steps
         seen.clear()
-        ssa_forward(prefix.tokens, model.blocks[2][1])
+        ssa_forward(x, model.flat_blocks[3])
         assert seen == [32] * model.config.steps
 
 

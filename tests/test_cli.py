@@ -48,6 +48,13 @@ class TestUsage:
         code, _ = run_cli(["train-head", "--data", "d", "--out", "m", "--steps", "5"])
         assert code == 1
 
+    def test_run_data_rejects_dataset_flags(self, capsys):
+        # --data fixes every dataset field, so these flags would be ignored
+        code, _ = run_cli(["run", "--data", "d", "--grid", "5", "--steps", "9"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and "--grid, --steps" in err and "Traceback" not in err
+
     def test_contract_error_exits_2(self):
         # keep ratio that floors to zero tokens
         code, _ = run_cli(["run", "--strategy", "uncert-prune",
@@ -225,6 +232,11 @@ def _manifest_line(line: str):
     return damage
 
 
+def _non_utf8_manifest(split: Path):
+    with open(split / "dataset.txt", "ab") as fh:
+        fh.write(b"\xff")
+
+
 def _first_label(value: float):
     def damage(split: Path):
         labels = read_tensor(split / "labels.spkt").data.copy()
@@ -274,10 +286,12 @@ class TestDatasetSpec:
         ("frames.spkt", _float_frames),
         ("frames.spkt", _manifest_line("grid=300")),
         ("frames.spkt", _manifest_line("samples=7")),
+        ("dataset.txt", _non_utf8_manifest),
         ("labels.spkt", _first_label(9)),
         ("labels.spkt", _first_label(-1)),
         ("labels.spkt", _first_label(1.5)),
-    ], ids=["float-frames", "grid", "samples", "label-9", "label-neg", "label-frac"])
+    ], ids=["float-frames", "grid", "samples", "non-utf8", "label-9", "label-neg",
+            "label-frac"])
     def test_malformed_dataset_exits_2(self, tmp_path, capsys, name, damage):
         data = tmp_path / "data"
         assert run_cli(["gen", "--out", str(data), "--seed", "3", *SMALL])[0] == 0

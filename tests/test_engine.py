@@ -3,7 +3,7 @@ import pytest
 from dataclasses import replace
 
 from spiketrim import engine, neuron, selection, uncertainty
-from spiketrim.backbone import ModelConfig, StageConfig, init_model
+from spiketrim.backbone import ModelConfig, StageConfig, init_model, ssa_forward
 from spiketrim.data import SyntheticSpec, synth_dataset
 from spiketrim.engine import (ReductionPlan, forward_full, forward_prefix,
                               forward_suffix)
@@ -39,12 +39,11 @@ def tiny_inputs(seed=2, b=6):
 
 
 class TestForward:
-    def test_shapes_and_stage_tokens(self):
+    def test_shapes_and_tokens(self):
         model = init_model(tiny_config())
         res = forward_full(model, tiny_inputs())
         assert res.logits.shape == (6, 3)
-        assert len(res.stage_tokens) == 2
-        assert res.stage_tokens[0].shape == (3, 6, 16, 8)
+        assert res.tokens.shape == (3, 6, 16, 8)
 
     def test_single_step_input_rejected(self):
         # frames carry every step; a [1,B,...] input is not repeated
@@ -89,8 +88,7 @@ class TestIdentityInvariant:
         red = forward_full(model, x, plan)
         assert red.logits.data.tobytes() == base.logits.data.tobytes()
         assert red.ledger.entries == base.ledger.entries
-        for st_a, st_b in zip(red.stage_tokens, base.stage_tokens):
-            assert st_a.data.tobytes() == st_b.data.tobytes()
+        assert red.tokens.data.tobytes() == base.tokens.data.tobytes()
         # the record keeps every token of every sample
         assert red.selection.anchor.tolist() == [list(range(16))] * 6
         assert red.selection.weights is None
@@ -115,7 +113,7 @@ class TestReducedForward:
         model, test = self._trained()
         plan = ReductionPlan(Strategy(kind="uncert-prune"), 0.5)
         res = forward_full(model, test.frames, plan)
-        assert res.stage_tokens[-1].shape[2] == 64
+        assert res.tokens.shape[2] == 64
         anchor = res.selection.anchor
         assert anchor.shape == (32, 64)
         assert ((anchor == np.arange(64)).sum(axis=1) == 32).all()
@@ -125,7 +123,7 @@ class TestReducedForward:
         model, test = self._trained()
         plan = ReductionPlan(Strategy(kind="uncert-merge"), 0.5)
         res = forward_full(model, test.frames, plan)
-        assert res.stage_tokens[-1].shape[2] == 32
+        assert res.tokens.shape[2] == 32
         anchor, weights = res.selection.anchor, res.selection.weights
         assert ((anchor == np.arange(64)).sum(axis=1) == 32).all()
         assert (anchor >= 0).all()  # merging drops no token
@@ -180,7 +178,7 @@ class TestReducedForward:
         prefix = forward_prefix(model, x)
         forward_suffix(model, prefix, prune)
         split = forward_suffix(model, prefix, merge)
-        assert [t.shape[2] for t in split.stage_tokens] == [9, 9]
+        assert split.tokens.shape[2] == 9
         assert split.logits.shape == (6, 3)
         assert _result_bytes(split) == _result_bytes(forward_full(model, x, merge))
 
@@ -202,12 +200,12 @@ def _selection_bytes(sel):
 
 def _result_bytes(res):
     return (res.logits.data.tobytes(), list(res.ledger.entries.items()),
-            [(t.shape, t.data.tobytes()) for t in res.stage_tokens],
+            res.tokens.shape, res.tokens.data.tobytes(),
             _selection_bytes(res.selection))
 
 
 class TestPrefixSuffix:
-    @pytest.mark.parametrize("insert_block", ["1.0", "3.1"])
+    @pytest.mark.parametrize("insert_block", ["1.0", "2.0", "3.0", "3.1"])
     @pytest.mark.parametrize("warm", [False, True])
     def test_shared_prefix_equals_forward_full(self, trained, insert_block, warm):
         # one prefix serves every plan in turn, as in a sweep; each suffix must
@@ -229,25 +227,23 @@ class TestPrefixSuffix:
         model, test = trained
         prefix = forward_prefix(model, test.frames)
         full = forward_full(model, test.frames)
-        assert prefix.insert == (2, 1) and prefix.label == "stage3.block1"
-        assert [t.data.tobytes() for t in prefix.stage_tokens] == \
-            [t.data.tobytes() for t in full.stage_tokens[:2]]
+        assert prefix.insert == 3 and prefix.label == "stage3.block1"
+        # the input of block 3.1 is block 3.0's output
+        at_30 = replace(model, config=replace(model.config, insert_block="3.0"))
+        block_30 = ssa_forward(forward_prefix(at_30, test.frames).tokens, model.flat_blocks[2])
+        assert prefix.tokens.data.tobytes() == block_30.data.tobytes()
         assert list(prefix.ledger.entries) == [
             label for label in full.ledger.entries if not label.startswith("stage3.block1")]
 
     def test_suffixes_leave_prefix_untouched(self, trained):
         model, test = trained
         prefix = forward_prefix(model, test.frames)
-        before = (prefix.tokens.data.tobytes(),
-                  [t.data.tobytes() for t in prefix.stage_tokens],
-                  dict(prefix.ledger.entries))
+        before = (prefix.tokens.data.tobytes(), dict(prefix.ledger.entries))
         prefix.trajectories(model.head)
         for kind in ("uncert-merge", "uncert-prune"):
             res = forward_suffix(model, prefix, ReductionPlan(Strategy(kind=kind), 0.4))
             res.ledger.add("stage1.block0.qkv", 1, 1)  # the result's ledger is its own
-        after = (prefix.tokens.data.tobytes(),
-                 [t.data.tobytes() for t in prefix.stage_tokens],
-                 dict(prefix.ledger.entries))
+        after = (prefix.tokens.data.tobytes(), dict(prefix.ledger.entries))
         assert after == before
 
     def test_trajectories_computed_once_per_prefix(self, trained, monkeypatch):

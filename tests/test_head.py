@@ -3,9 +3,8 @@ import pytest
 
 from spiketrim.backbone import ModelConfig, init_model
 from spiketrim.data import SyntheticSpec, synth_dataset
-from spiketrim.engine import pool_tokens
-from spiketrim.head import (RidgeConfig, accuracies, eval_metrics, fit_ridge,
-                            ridge_solve, train_head)
+from spiketrim.engine import forward_full, pool_tokens
+from spiketrim.head import RidgeConfig, accuracies, fit_ridge, ridge_solve, train_head
 from spiketrim.tensors import DenseTensor, SpikeTensor, topk_rows
 
 
@@ -95,7 +94,7 @@ class TestFitRidge:
         model = init_model(ModelConfig(num_classes=6))
         head = train_head(model, train.frames, train.labels)
         assert head.w.shape[1] == head.b.shape[0] == 6
-        assert eval_metrics(model, test.frames, test.labels)[2].logits.shape == (2, 6)
+        assert forward_full(model, test.frames).logits.shape == (2, 6)
 
 
 class TestPooling:
@@ -150,18 +149,19 @@ class TestEval:
 
     def test_accuracy_and_topk_bounds(self):
         model, test = self._trained()
-        acc1, acc5, _ = eval_metrics(model, test.frames, test.labels)
+        acc1, acc5 = accuracies(forward_full(model, test.frames).logits, test.labels)
         assert 0.0 <= acc1 <= acc5 <= 1.0
         assert acc5 == 1.0  # C=4 < 5: top-5 always hits
 
     def test_monotone_transform_invariance(self):
         # accuracy depends only on argmax ranking of logits
         model, test = self._trained()
-        base, _, _ = eval_metrics(model, test.frames, test.labels)
+        base = accuracies(forward_full(model, test.frames).logits, test.labels)[0]
         w = model.head.w.data * np.float32(3.0)
         from spiketrim.backbone import HeadWeights
         model.head = HeadWeights(DenseTensor(w), DenseTensor(model.head.b.data * np.float32(3.0)))
-        assert eval_metrics(model, test.frames, test.labels)[0] == base
+        logits = forward_full(model, test.frames).logits
+        assert accuracies(logits, test.labels)[0] == base
 
     def test_deterministic_head(self):
         spec = SyntheticSpec(train_samples=64, test_samples=32)

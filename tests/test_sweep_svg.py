@@ -7,7 +7,8 @@ from spiketrim.backbone import ModelConfig, StageConfig
 from spiketrim.data import SyntheticSpec
 from spiketrim.efficiency import energy_mj
 from spiketrim.errors import ConfigError
-from spiketrim.head import eval_metrics
+from spiketrim.engine import forward_full
+from spiketrim.head import accuracies
 from spiketrim.svg import emit_svg_lines
 from spiketrim.sweep import (ResultRow, SweepConfig, build_plan, parse_config_text,
                              prepared_model, rows_csv, run_sweep,
@@ -96,7 +97,8 @@ class TestRunSweep:
         for name in cfg.strategies:
             for ratio in cfg.keep_ratios:
                 plan = build_plan(cfg, name, ratio, 3)
-                acc1, _, res = eval_metrics(model, test.frames, test.labels, plan)
+                res = forward_full(model, test.frames, plan)
+                acc1, _ = accuracies(res.logits, test.labels)
                 expected.append(ResultRow(name, ratio, 3, acc1, acc1,
                                           res.ledger.totals("stage3.block1")[0],
                                           energy_mj(res.ledger)))

@@ -2,8 +2,8 @@
 reduction and synaptic-operation energy accounting."""
 
 from .backbone import (HeadWeights, Model, ModelConfig, SsaBlockWeights,
-                       StageConfig, attention_core, init_model, load_model,
-                       patch_embed, save_model, ssa_forward, token_logits)
+                       attention_core, init_model, load_model, patch_embed,
+                       save_model, ssa_forward, token_logits)
 from .data import Dataset, SyntheticSpec, bayes_accuracy, synth_dataset
 from .efficiency import (EnergyModel, SopLedger, count_attention, count_linear,
                          energy_mj, reduction_percent)

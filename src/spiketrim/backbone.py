@@ -52,51 +52,18 @@ from .neuron import LifParams, LifState
 from .rng import stream
 from .tensorfile import (manifest_fields, read_manifest, read_tensor,
                          write_manifest, write_tensor)
-from .tensors import DenseTensor, SpikeTensor, as_array
-
-
-@dataclass(frozen=True)
-class StageConfig:
-    """One backbone stage: channel width and block count. Every stage has the
-    width of the patch embedding and keeps its token grid.
-
-    w_scales holds the init scale of each attention block's weights; a single
-    float applies to every block in the stage.
-    """
-
-    channels: int
-    blocks: int
-    w_scales: Union[float, tuple[float, ...]] = 0.0625
-
-    def __post_init__(self):
-        if self.channels < 1:
-            raise ConfigError("stage channels must be >= 1")
-        if self.blocks < 1:
-            raise ConfigError("stage blocks must be >= 1")
-        scales = self.w_scales
-        if isinstance(scales, (int, float)):
-            scales = tuple([float(scales)] * self.blocks)
-        else:
-            scales = tuple(float(s) for s in scales)
-        if len(scales) != self.blocks:
-            raise ConfigError(f"{len(scales)} w_scales for {self.blocks} blocks")
-        object.__setattr__(self, "w_scales", scales)
-
-
-# Defaults tuned once on the synthetic task (see ModelConfig notes): quiet
-# early blocks preserve stage-1 burst structure exactly; the final block is
-# strong enough that its attention updates carry class-relevant signal.
-_DEFAULT_STAGES = (
-    StageConfig(channels=32, blocks=1, w_scales=0.0625),
-    StageConfig(channels=32, blocks=1, w_scales=0.0625),
-    StageConfig(channels=32, blocks=2, w_scales=(0.0625, 1.25)),
-)
+from .tensors import DenseTensor, SpikeTensor, Tensor, as_array
 
 
 @dataclass(frozen=True)
 class ModelConfig:
     """Complete structural description of a model; init is a pure function
     of (config, seed).
+
+    Every block runs at width channels on the patch embedding's token grid.
+    w_scales holds one tuple of block init scales per stage, so stage s has
+    len(w_scales[s]) blocks; a stage only labels them (stageS.blockB), which
+    addresses their weight streams and weight files.
 
     embed_scale 0.25 with sign-magnitude init, tau 0.9, and T=4 place
     driven tokens in a single-burst firing regime (roughly one active step in
@@ -111,7 +78,11 @@ class ModelConfig:
     width: int = 8
     patch: int = 1
     num_classes: int = 4
-    stages: tuple[StageConfig, ...] = _DEFAULT_STAGES
+    channels: int = 32
+    # Defaults tuned once on the synthetic task: quiet early blocks preserve
+    # stage-1 burst structure exactly; the final block is strong enough that
+    # its attention updates carry class-relevant signal.
+    w_scales: tuple[tuple[float, ...], ...] = ((0.0625,), (0.0625,), (0.0625, 1.25))
     lif: LifParams = field(default_factory=LifParams)
     seed: int = 1
     embed_scale: float = 0.25
@@ -125,11 +96,11 @@ class ModelConfig:
             raise ConfigError("num_classes must be >= 2")
         if self.patch < 1 or self.height % self.patch or self.width % self.patch:
             raise ConfigError("patch size must divide height and width")
-        if not self.stages:
-            raise ConfigError("at least one stage required")
-        widths = [st.channels for st in self.stages]
-        if len(set(widths)) > 1:
-            raise ConfigError(f"stage widths {widths} differ; every stage needs one width")
+        if min(self.in_channels, self.height, self.width, self.channels) < 1:
+            raise ConfigError("in_channels, height, width and channels must be >= 1")
+        if not self.w_scales or not all(self.w_scales):
+            raise ConfigError("at least one stage required, each with at least one block")
+        object.__setattr__(self, "w_scales", tuple(tuple(map(float, st)) for st in self.w_scales))
         self.parse_insert()
 
     def parse_insert(self) -> int:
@@ -141,9 +112,15 @@ class ModelConfig:
             s, b = int(s_str) - 1, int(b_str)
         except Exception as exc:
             raise ConfigError(f"bad insert block {text!r}, expected 'S.B'") from exc
-        if not 0 <= s < len(self.stages) or not 0 <= b < self.stages[s].blocks:
+        if not 0 <= s < len(self.w_scales) or not 0 <= b < len(self.w_scales[s]):
             raise ConfigError(f"insert block {text!r} outside model layout")
-        return sum(st.blocks for st in self.stages[:s]) + b
+        return sum(len(st) for st in self.w_scales[:s]) + b
+
+    @property
+    def embed_shape(self) -> tuple[int, int, int]:
+        """[N, patch*patch*in_channels, channels]: the patch embedding's weights."""
+        n_tokens = (self.height // self.patch) * (self.width // self.patch)
+        return n_tokens, self.patch * self.patch * self.in_channels, self.channels
 
 
 @dataclass(frozen=True)
@@ -200,20 +177,15 @@ class Model:
 
 def init_model(config: ModelConfig) -> Model:
     """Deterministic weight construction from (config, config.seed)."""
-    n_feat = config.patch * config.patch * config.in_channels
-    gh, gw = config.height // config.patch, config.width // config.patch
-    n_tokens = gh * gw
-    d = config.stages[0].channels
-    emb = stream(config.seed, "embed").sign_magnitude((n_tokens, n_feat, d),
-                                                      config.embed_scale)
+    d = config.channels
+    emb = stream(config.seed, "embed").sign_magnitude(config.embed_shape, config.embed_scale)
     embed_w = DenseTensor(emb.astype(np.float32))
 
     blocks: list[list[SsaBlockWeights]] = []
-    for s, st in enumerate(config.stages):
+    for s, scales in enumerate(config.w_scales):
         label = f"stage{s + 1}"
         stage_blocks = []
-        for b in range(st.blocks):
-            scale = st.w_scales[b]
+        for b, scale in enumerate(scales):
             ws = []
             for name in ("wq", "wk", "wv", "wproj"):
                 w = stream(config.seed, f"{label}.block{b}.{name}").uniform_grid(
@@ -404,32 +376,24 @@ def token_logits(z, head: HeadWeights) -> DenseTensor:
 _FORMAT = "1"
 # a block's weight file <label>.<name>.spkt holds its field attr, as (name, attr)
 _BLOCK_FILES = (("wq", "w_q"), ("wk", "w_k"), ("wv", "w_v"), ("wproj", "w_proj"))
+# scalar manifest key -> the ModelConfig field it holds: save_model writes
+# str(value), load_model parses it with the type of the field's default
+_MANIFEST_FIELDS = {"classes": "num_classes", **{name: name for name in (
+    "seed", "steps", "in_channels", "height", "width", "patch", "embed_scale",
+    "attn_shift", "insert_block")}}
 
 
 def save_model(model: Model, directory: Union[str, Path]) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     cfg = model.config
-    entries = {
-        "format": _FORMAT,
-        "seed": str(cfg.seed),
-        "steps": str(cfg.steps),
-        "in_channels": str(cfg.in_channels),
-        "height": str(cfg.height),
-        "width": str(cfg.width),
-        "patch": str(cfg.patch),
-        "classes": str(cfg.num_classes),
-        "tau": repr(cfg.lif.tau),
-        "vth": repr(cfg.lif.v_th),
-        "embed_scale": repr(cfg.embed_scale),
-        "attn_shift": str(cfg.attn_shift),
-        "insert_block": cfg.insert_block,
-        "n_stages": str(len(cfg.stages)),
-    }
-    for i, st in enumerate(cfg.stages):
-        entries[f"stage{i + 1}.channels"] = str(st.channels)
-        entries[f"stage{i + 1}.blocks"] = str(st.blocks)
-        entries[f"stage{i + 1}.w_scales"] = ",".join(repr(s) for s in st.w_scales)
+    entries = {key: str(getattr(cfg, name)) for key, name in _MANIFEST_FIELDS.items()}
+    entries.update({"format": _FORMAT, "tau": repr(cfg.lif.tau), "vth": repr(cfg.lif.v_th),
+                    "n_stages": str(len(cfg.w_scales))})
+    for s, scales in enumerate(cfg.w_scales, 1):
+        entries[f"stage{s}.channels"] = str(cfg.channels)
+        entries[f"stage{s}.blocks"] = str(len(scales))
+        entries[f"stage{s}.w_scales"] = ",".join(repr(v) for v in scales)
     write_manifest(directory / "manifest.txt", entries)
     write_tensor(directory / "embed.spkt", model.embed_w)
     for blk in model.flat_blocks:
@@ -439,44 +403,48 @@ def save_model(model: Model, directory: Union[str, Path]) -> None:
     write_tensor(directory / "head.b.spkt", model.head.b)
 
 
+def _read_shaped(path: Path, shape: tuple[int, ...]) -> Tensor:
+    t = read_tensor(path)
+    if t.shape != shape:
+        raise ShapeError(f"{path}: shape {t.shape}, the manifest asks for {shape}")
+    return t
+
+
 def load_model(directory: Union[str, Path]) -> Model:
+    """The model saved in directory. Each weight file must have the shape the
+    manifest implies; embed and head are checked before init_model runs."""
     directory = Path(directory)
     path = directory / "manifest.txt"
     m = read_manifest(path)
     if m.get("format") != _FORMAT:
         raise ConfigError(f"unsupported model format {m.get('format')!r}")
     with manifest_fields(path):
-        stages = []
-        for i in range(int(m["n_stages"])):
+        w_scales, widths = [], set()
+        for key in (f"stage{s + 1}" for s in range(int(m["n_stages"]))):
             # manifests written before stages lost their entry transform
             # carry stageN.downsample=1, which every layout here satisfies
-            legacy = m.get(f"stage{i + 1}.downsample", "1")
+            legacy = m.get(f"{key}.downsample", "1")
             if legacy != "1":
-                raise ValueError(f"stage{i + 1}.downsample={legacy}: no stage downsamples")
-            stages.append(StageConfig(
-                channels=int(m[f"stage{i + 1}.channels"]),
-                blocks=int(m[f"stage{i + 1}.blocks"]),
-                w_scales=tuple(float(s) for s in m[f"stage{i + 1}.w_scales"].split(",")),
-            ))
+                raise ValueError(f"{key}.downsample={legacy}: no stage downsamples")
+            widths.add(int(m[f"{key}.channels"]))
+            w_scales.append(tuple(float(v) for v in m[f"{key}.w_scales"].split(",")))
+            if int(m[f"{key}.blocks"]) != len(w_scales[-1]):
+                raise ValueError(f"{key}.blocks differs from the number of {key}.w_scales")
+        if len(widths) > 1:
+            raise ValueError(f"stage widths {sorted(widths)} differ; every stage has one width")
         cfg = ModelConfig(
-            steps=int(m["steps"]),
-            in_channels=int(m["in_channels"]),
-            height=int(m["height"]),
-            width=int(m["width"]),
-            patch=int(m["patch"]),
-            num_classes=int(m["classes"]),
-            stages=tuple(stages),
+            channels=min(widths, default=ModelConfig.channels), w_scales=tuple(w_scales),
             lif=LifParams(tau=float(m["tau"]), v_th=float(m["vth"])),
-            seed=int(m["seed"]),
-            embed_scale=float(m["embed_scale"]),
-            attn_shift=int(m["attn_shift"]),
-            insert_block=m["insert_block"],
-        )
+            **{name: type(getattr(ModelConfig, name))(m[key])
+               for key, name in _MANIFEST_FIELDS.items()})
+    d, c = cfg.channels, cfg.num_classes
+    embed_w = _read_shaped(directory / "embed.spkt", cfg.embed_shape)
+    head = HeadWeights(_read_shaped(directory / "head.w.spkt", (d, c)),
+                       _read_shaped(directory / "head.b.spkt", (c,)))
     model = init_model(cfg)
-    model.embed_w = read_tensor(directory / "embed.spkt")
-    model.blocks = [[replace(blk, **{attr: read_tensor(directory / f"{blk.label}.{name}.spkt")
+    model.embed_w, model.head = embed_w, head
+    model.blocks = [[replace(blk, **{attr: _read_shaped(directory / f"{blk.label}.{name}.spkt",
+                                                        (d, d))
                                      for name, attr in _BLOCK_FILES})
                      for blk in stage] for stage in model.blocks]
-    model.head = HeadWeights(read_tensor(directory / "head.w.spkt"),
-                             read_tensor(directory / "head.b.spkt"))
     return model

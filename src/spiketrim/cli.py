@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .backbone import ModelConfig, init_model, load_model, save_model
+from .backbone import ModelConfig, init_model, load_model, save_model, token_logits
 from .data import (SyntheticSpec, bayes_accuracy, load_dataset, save_dataset,
                    synth_dataset)
 from .head import RidgeConfig, accuracies, train_head
@@ -29,7 +29,7 @@ from .selection import STRATEGY_KINDS, mask_csv
 from .sweep import (SweepConfig, build_plan, parse_config_text, prepared_model,
                     rows_csv, run_sweep, sop_rows, sweep_config_from_entries)
 from .efficiency import energy_mj, sop_report_csv
-from .engine import forward_full, forward_prefix, forward_suffix
+from .engine import forward_prefix, forward_suffix
 from .selftest import run_selftest
 from .svg import emit_svg_lines
 from .uncertainty import SCORE_MODES, trajectory_csv
@@ -141,11 +141,10 @@ def _cmd_gen(args) -> int:
 
 def _cmd_train_head(args) -> int:
     train = load_dataset(Path(args.data) / "train")
-    cfg = _model_config_from(args, train.spec, args.seed)
-    model = init_model(cfg)
-    train_head(model, train.frames, train.labels, RidgeConfig(l2=args.l2))
+    model = init_model(_model_config_from(args, train.spec, args.seed))
+    feats = train_head(model, train.frames, train.labels, RidgeConfig(l2=args.l2))
     save_model(model, args.out)
-    acc1, _ = accuracies(forward_full(model, train.frames).logits, train.labels)
+    acc1, _ = accuracies(token_logits(feats, model.head), train.labels)
     print(f"train_acc1={acc1:.6f}")
     print(f"saved model to {args.out}")
     return 0

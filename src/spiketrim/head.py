@@ -87,14 +87,13 @@ def fit_ridge(features: DenseTensor, labels: Sequence[int], num_classes: int,
 
 
 def train_head(model: Model, frames, labels: Sequence[int],
-               cfg: RidgeConfig = RidgeConfig()) -> HeadWeights:
-    """Run the unreduced forward pass, pool, and fit the ridge head with the
-    model's own class count."""
-    result = forward_full(model, frames)
-    feats = pool_tokens(result.tokens)
-    head = fit_ridge(feats, labels, model.config.num_classes, cfg)
-    model.head = head
-    return head
+               cfg: RidgeConfig = RidgeConfig()) -> DenseTensor:
+    """Run the unreduced forward pass, pool, and fit model.head with the
+    model's own class count. Returns the pooled features [B, D]; under the
+    new head, token_logits gives from them the logits of a second pass."""
+    feats = pool_tokens(forward_full(model, frames).tokens)
+    model.head = fit_ridge(feats, labels, model.config.num_classes, cfg)
+    return feats
 
 
 def predictions(logits: DenseTensor) -> np.ndarray:

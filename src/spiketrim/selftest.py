@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .backbone import (HeadWeights, ModelConfig, SsaBlockWeights, StageConfig,
+from .backbone import (HeadWeights, ModelConfig, SsaBlockWeights,
                        attention_core, extract_patches, init_model, patch_embed,
                        ssa_forward, token_logits)
 from .data import SyntheticSpec, synth_dataset
@@ -260,7 +260,7 @@ def check_active_token_block():
     # silent tokens are fixed points, so running the block on active tokens
     # only must reproduce the dense block's spikes and structural charges
     cfg = ModelConfig(steps=3, in_channels=1, height=2, width=4, num_classes=2,
-                      stages=(StageConfig(channels=8, blocks=1, w_scales=1.0),),
+                      channels=8, w_scales=((1.0,),),
                       insert_block="1.0", seed=3)
     block = init_model(cfg).flat_blocks[0]
     rng = np.random.default_rng(5)

@@ -1,27 +1,30 @@
 import hashlib
+import shutil
+import tempfile
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from dataclasses import replace
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spiketrim import backbone, selection
-from spiketrim.backbone import (HeadWeights, ModelConfig, StageConfig,
-                                attention_core, extract_patches, init_model,
-                                load_model, patch_embed, save_model,
-                                ssa_forward, token_logits)
+from spiketrim.backbone import (HeadWeights, ModelConfig, attention_core,
+                                extract_patches, init_model, load_model,
+                                patch_embed, save_model, ssa_forward,
+                                token_logits)
 from spiketrim.efficiency import SopLedger, count_attention, count_linear
-from spiketrim.errors import ConfigError, ShapeError
+from spiketrim.errors import ConfigError, ContractError, ShapeError
 from spiketrim.neuron import LifParams, LifState, lif_sequence, lif_step
+from spiketrim.tensorfile import read_manifest
 from spiketrim.tensors import DenseTensor, SpikeTensor
 
 
 def small_config(**kw):
     defaults = dict(
         steps=3, in_channels=2, height=4, width=4, patch=1, num_classes=3,
-        stages=(StageConfig(channels=8, blocks=1, w_scales=0.25),
-                StageConfig(channels=8, blocks=2, w_scales=(0.25, 0.5))),
+        channels=8, w_scales=((0.25,), (0.25, 0.5)),
         lif=LifParams(tau=0.9, v_th=1.0), seed=7, insert_block="2.1",
     )
     defaults.update(kw)
@@ -33,11 +36,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             small_config(height=6, patch=4)
 
-    def test_unequal_stage_widths_rejected(self):
-        # no stage has an entry map, so every stage runs at the embedding width
-        with pytest.raises(ConfigError, match="differ"):
-            small_config(stages=(StageConfig(channels=8, blocks=1),
-                                 StageConfig(channels=16, blocks=2)))
+    @pytest.mark.parametrize("sizes", [dict(channels=0), dict(in_channels=0),
+                                       dict(height=-4, width=-4)],
+                             ids=["channels", "in_channels", "height-width"])
+    def test_sizes_positive(self, sizes):
+        # a height and width of -4 would still give a 16-token grid
+        with pytest.raises(ConfigError, match=">= 1"):
+            small_config(**sizes)
 
     def test_insert_block_parse(self):
         # 'S.B' is a position in the blocks taken stage by stage: 1.0 2.0 2.1
@@ -51,9 +56,11 @@ class TestConfig:
             with pytest.raises(ConfigError):
                 small_config(insert_block=block)
 
-    def test_stage_scales_length(self):
-        with pytest.raises(ConfigError):
-            StageConfig(channels=4, blocks=2, w_scales=(0.5,))
+    @pytest.mark.parametrize("w_scales", [(), ((0.25,), ())],
+                             ids=["no-stage", "empty-stage"])
+    def test_every_stage_has_a_block(self, w_scales):
+        with pytest.raises(ConfigError, match="at least one stage required, each with"):
+            small_config(w_scales=w_scales, insert_block="1.0")
 
 
 class TestInit:
@@ -93,7 +100,7 @@ class TestPatchEmbed:
     def test_patch_count(self):
         cfg = ModelConfig(steps=2, in_channels=1, height=8, width=8, patch=4,
                           num_classes=2,
-                          stages=(StageConfig(channels=4, blocks=1),),
+                          channels=4, w_scales=((0.0625,),),
                           insert_block="1.0", seed=1)
         model = init_model(cfg)
         frames = SpikeTensor(np.zeros((2, 1, 1, 8, 8), dtype=np.uint8))
@@ -147,7 +154,7 @@ class TestSsaForward:
     def _block(self, d=8, scale=0.5, shift=1, seed=3):
         cfg = ModelConfig(steps=2, in_channels=1, height=2, width=2, patch=1,
                           num_classes=2,
-                          stages=(StageConfig(channels=d, blocks=1, w_scales=scale),),
+                          channels=d, w_scales=((scale,),),
                           insert_block="1.0", seed=seed, attn_shift=shift)
         return init_model(cfg).blocks[0][0]
 
@@ -224,7 +231,7 @@ def dense_ssa_reference(x: SpikeTensor, w, ledger=None) -> SpikeTensor:
 def _active_block(d=8, seed=3, scale=1.0):
     cfg = ModelConfig(steps=2, in_channels=1, height=2, width=2, patch=1,
                       num_classes=2,
-                      stages=(StageConfig(channels=d, blocks=1, w_scales=scale),),
+                      channels=d, w_scales=((scale,),),
                       insert_block="1.0", seed=seed)
     return init_model(cfg).blocks[0][0]
 
@@ -478,22 +485,31 @@ class TestTokenLogits:
 
 class TestSerialization:
     def test_roundtrip_bitwise(self, tmp_path):
-        model = init_model(small_config())
-        # overwrite the head with non-grid reals like a trained one
-        rng = np.random.default_rng(9)
-        model.head = HeadWeights(
-            DenseTensor(rng.normal(size=(8, 3)).astype(np.float32)),
-            DenseTensor(rng.normal(size=3).astype(np.float32)))
-        save_model(model, tmp_path / "m")
-        back = load_model(tmp_path / "m")
-        assert back.config == model.config
-        assert back.embed_w.data.tobytes() == model.embed_w.data.tobytes()
-        assert back.head.w.data.tobytes() == model.head.w.data.tobytes()
-        for s in range(len(model.blocks)):
-            for b in range(len(model.blocks[s])):
+        # the second config sets every field away from its default and
+        # apart from the others, so a wrong manifest key or field fails
+        every_field = small_config(steps=5, in_channels=3, height=4, width=6, patch=2,
+                                   num_classes=6, lif=LifParams(tau=0.8, v_th=0.75),
+                                   seed=11, embed_scale=0.5, attn_shift=2)
+        assert all(getattr(every_field, f.name) != getattr(ModelConfig(), f.name)
+                   for f in fields(ModelConfig))
+        for i, cfg in enumerate((small_config(), every_field)):
+            model = init_model(cfg)
+            # overwrite the head with non-grid reals like a trained one
+            rng = np.random.default_rng(9)
+            c = cfg.num_classes
+            model.head = HeadWeights(
+                DenseTensor(rng.normal(size=(8, c)).astype(np.float32)),
+                DenseTensor(rng.normal(size=c).astype(np.float32)))
+            save_model(model, tmp_path / str(i))
+            back = load_model(tmp_path / str(i))
+            assert back.config == model.config
+            assert back.embed_w.data.tobytes() == model.embed_w.data.tobytes()
+            assert back.head.w.data.tobytes() == model.head.w.data.tobytes()
+            assert back.head.b.data.tobytes() == model.head.b.data.tobytes()
+            for blk, orig in zip(back.flat_blocks, model.flat_blocks, strict=True):
                 for name in ("w_q", "w_k", "w_v", "w_proj"):
-                    assert (getattr(back.blocks[s][b], name).data.tobytes()
-                            == getattr(model.blocks[s][b], name).data.tobytes())
+                    assert (getattr(blk, name).data.tobytes()
+                            == getattr(orig, name).data.tobytes())
 
     @staticmethod
     def _loads_with_legacy_lines(tmp_path, legacy):
@@ -523,3 +539,53 @@ class TestSerialization:
         # manifests written while stages had an entry transform carry
         # stageN.downsample=1 for each of the default model's three stages
         self._loads_with_legacy_lines(tmp_path, [f"stage{s}.downsample=1" for s in (1, 2, 3)])
+
+
+@pytest.fixture(scope="module")
+def tiny_model(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("model")
+    save_model(init_model(small_config(steps=2, in_channels=1, height=2, width=2,
+                                       num_classes=2, channels=4)), directory)
+    return directory
+
+
+# the saved keys, a stage beyond the saved layout, and a legacy key
+_MODEL_KEYS = (["format", "seed", "steps", "in_channels", "height", "width", "patch",
+                "classes", "tau", "vth", "embed_scale", "attn_shift", "insert_block",
+                "n_stages", "stage1.downsample"]
+               + [f"stage{s}.{key}" for s in (1, 2, 3)
+                  for key in ("channels", "blocks", "w_scales")])
+# fixed alphabets keep hypothesis from building its unicode tables
+_VALUES = st.one_of(st.integers(0, 6).map(str), st.integers().map(str),
+                    st.floats().map(repr), st.text("0123456789.-e_ =#xé", max_size=8))
+
+
+@settings(max_examples=50, deadline=None)
+@given(drop=st.sets(st.sampled_from(_MODEL_KEYS), max_size=1),
+       change=st.dictionaries(st.sampled_from(_MODEL_KEYS), _VALUES, max_size=3),
+       extra=st.one_of(st.just(""), st.text("01.=#\nxé", max_size=12)))
+def test_any_model_manifest_loads_or_raises_contract_errors(tiny_model, drop, change,
+                                                            extra):
+    # valid weight files under a valid, mangled or arbitrary manifest; a block
+    # file that the layout names but the directory lacks is FileNotFoundError
+    entries = {k: v for k, v in read_manifest(tiny_model / "manifest.txt").items()
+               if k not in drop}
+    entries.update(change)
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp)
+        for path in tiny_model.glob("*.spkt"):
+            shutil.copy(path, directory / path.name)
+        text = "".join(f"{k}={v}\n" for k, v in entries.items()) + extra
+        (directory / "manifest.txt").write_bytes(text.encode("utf-8"))
+        try:
+            model = load_model(directory)
+        except (ShapeError, ContractError, ConfigError, FileNotFoundError):
+            return
+    cfg, d = model.config, model.config.channels
+    n_tokens = (cfg.height // cfg.patch) * (cfg.width // cfg.patch)
+    assert model.embed_w.shape == (n_tokens, cfg.patch ** 2 * cfg.in_channels, d)
+    assert [len(stage) for stage in model.blocks] == [len(s) for s in cfg.w_scales]
+    assert all(getattr(blk, name).shape == (d, d) for blk in model.flat_blocks
+               for name in ("w_q", "w_k", "w_v", "w_proj"))
+    assert model.head.w.shape == (d, cfg.num_classes)
+    assert model.head.b.shape == (cfg.num_classes,)

@@ -87,6 +87,25 @@ class TestGenTrainRun:
         assert code == 0
         assert "acc1=" in out and "logits_sha256=" in out
 
+    def test_train_head_runs_one_forward(self, tmp_path, monkeypatch):
+        # train_acc1 maps the features the head was fit on through the new
+        # head: one pass over the train split, with the logits of a second
+        from spiketrim import engine
+        from spiketrim.backbone import load_model
+        from spiketrim.engine import forward_full
+        from spiketrim.head import accuracies
+        data, model = tmp_path / "data", tmp_path / "model"
+        assert run_cli(["gen", "--out", str(data), "--seed", "3", *SMALL])[0] == 0
+        calls, embed = [], engine.patch_embed
+        monkeypatch.setattr(engine, "patch_embed",
+                            lambda *a, **k: calls.append(a) or embed(*a, **k))
+        code, out = run_cli(["train-head", "--data", str(data), "--out", str(model),
+                             "--seed", "3"])
+        assert code == 0 and len(calls) == 1
+        train = load_dataset(data / "train")
+        logits = forward_full(load_model(model), train.frames).logits
+        assert metrics(out)["train_acc1"] == f"{accuracies(logits, train.labels)[0]:.6f}"
+
     def test_identity_none_vs_full_keep(self):
         base_args = ["run", "--seed", "7", *SMALL]
         code1, out1 = run_cli(base_args + ["--strategy", "none"])
@@ -137,19 +156,29 @@ class TestGenTrainRun:
         assert code == 2
         assert err.count("\n") == 1 and str(path) in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("line", ["stage2.downsample=2", "stage2.channels=16"])
-    def test_model_manifest_stage_layout_exits_2(self, artifacts, capsys, line):
-        # no stage downsamples or changes width; a manifest asking for either
-        # is a contract error, not a traceback
+    @pytest.mark.parametrize("lines,culprit", [
+        pytest.param(["stage2.downsample=2"], "manifest.txt", id="stage2.downsample=2"),
+        pytest.param(["stage2.channels=16"], "manifest.txt", id="stage2.channels=16"),
+        pytest.param(["stage3.blocks=3"], "manifest.txt", id="stage3.blocks=3"),
+        pytest.param(["n_stages=0"], "manifest.txt", id="n_stages=0"),
+        pytest.param(["classes=5"], "head.w.spkt", id="classes=5"),
+        pytest.param([f"stage{s}.channels=16" for s in (1, 2, 3)], "embed.spkt",
+                     id="channels=16"),
+        pytest.param(["height=256", "width=256"], "embed.spkt", id="height=width=256"),
+    ])
+    def test_model_manifest_stage_layout_exits_2(self, artifacts, capsys, lines, culprit):
+        # no stage downsamples or changes width, a stage has as many blocks as
+        # scales, and every weight file has the shape the manifest implies; a
+        # manifest that breaks any of these is a contract error naming the file
         data, model = artifacts
-        key = line.split("=", 1)[0]
         manifest = model / "manifest.txt"
-        self._drop_key(manifest, key)
-        manifest.write_text(manifest.read_text() + line + "\n")
+        for line in lines:
+            self._drop_key(manifest, line.split("=", 1)[0])
+        manifest.write_text(manifest.read_text() + "".join(f"{ln}\n" for ln in lines))
         code, _ = run_cli(["run", "--data", str(data), "--model", str(model)])
         err = capsys.readouterr().err
         assert code == 2
-        assert err.count("\n") == 1 and str(manifest) in err and "Traceback" not in err
+        assert err.count("\n") == 1 and str(model / culprit) in err and "Traceback" not in err
 
     @pytest.mark.parametrize("strategy", ["none", "uncert-prune"])
     def test_model_insert_block_used_throughout(self, tmp_path, strategy):

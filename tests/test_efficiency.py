@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spiketrim.backbone import ModelConfig, StageConfig, init_model
+from spiketrim.backbone import ModelConfig, init_model
 from spiketrim.efficiency import (SOP_REPORT_HEADER, EnergyModel, SopLedger,
                                   count_attention, count_linear, energy_mj,
                                   reduction_percent, sop_report_csv)
@@ -47,7 +47,7 @@ class TestLedger:
     def test_prefix_stops_at_label_boundary(self):
         # an 11-block stage: block1's totals must not take in block10's
         cfg = ModelConfig(steps=2, in_channels=1, height=2, width=2, num_classes=2,
-                          stages=(StageConfig(channels=4, blocks=11, w_scales=1.0),),
+                          channels=4, w_scales=((1.0,) * 11,),
                           insert_block="1.1", seed=1)
         model = init_model(cfg)
         frames = SpikeTensor(np.ones((2, 3, 1, 2, 2), dtype=np.uint8))

@@ -3,7 +3,7 @@ import pytest
 from dataclasses import replace
 
 from spiketrim import engine, neuron, selection, uncertainty
-from spiketrim.backbone import ModelConfig, StageConfig, init_model, ssa_forward
+from spiketrim.backbone import ModelConfig, init_model, ssa_forward
 from spiketrim.data import SyntheticSpec, synth_dataset
 from spiketrim.engine import (ReductionPlan, forward_full, forward_prefix,
                               forward_suffix)
@@ -25,8 +25,7 @@ def kind_ids(value):
 def tiny_config(seed=2, **kw):
     defaults = dict(
         steps=3, in_channels=2, height=4, width=4, patch=1, num_classes=3,
-        stages=(StageConfig(channels=8, blocks=1, w_scales=0.125),
-                StageConfig(channels=8, blocks=2, w_scales=(0.125, 1.0))),
+        channels=8, w_scales=((0.125,), (0.125, 1.0)),
         insert_block="2.1", seed=seed,
     )
     defaults.update(kw)

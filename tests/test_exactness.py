@@ -56,8 +56,7 @@ def test_attention_products_are_exact_integers():
 
 def test_default_model_weights_on_grid():
     model = init_model(ModelConfig(seed=4))
-    for s, stage_blocks in enumerate(model.blocks):
-        scale = model.config.stages[s].w_scales
+    for scale, stage_blocks in zip(model.config.w_scales, model.blocks):
         for b, blk in enumerate(stage_blocks):
             step = scale[b] / (1 << 23)
             for w in (blk.w_q, blk.w_k, blk.w_v, blk.w_proj):

@@ -92,8 +92,8 @@ class TestFitRidge:
         train, test = synth_dataset(spec, 1)
         assert train.labels.tolist() == [4, 4, 3]
         model = init_model(ModelConfig(num_classes=6))
-        head = train_head(model, train.frames, train.labels)
-        assert head.w.shape[1] == head.b.shape[0] == 6
+        train_head(model, train.frames, train.labels)
+        assert model.head.w.shape[1] == model.head.b.shape[0] == 6
         assert forward_full(model, test.frames).logits.shape == (2, 6)
 
 
@@ -168,7 +168,7 @@ class TestEval:
         train, _ = synth_dataset(spec, 5)
         m1 = init_model(ModelConfig(seed=5))
         m2 = init_model(ModelConfig(seed=5))
-        h1 = train_head(m1, train.frames, train.labels)
-        h2 = train_head(m2, train.frames, train.labels)
-        assert h1.w.data.tobytes() == h2.w.data.tobytes()
-        assert h1.b.data.tobytes() == h2.b.data.tobytes()
+        train_head(m1, train.frames, train.labels)
+        train_head(m2, train.frames, train.labels)
+        assert m1.head.w.data.tobytes() == m2.head.w.data.tobytes()
+        assert m1.head.b.data.tobytes() == m2.head.b.data.tobytes()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spiketrim.backbone import ModelConfig, StageConfig, init_model, ssa_forward
+from spiketrim.backbone import ModelConfig, init_model, ssa_forward
 from spiketrim.efficiency import SopLedger
 from spiketrim.neuron import LifParams
 from spiketrim.rng import stream
@@ -14,7 +14,7 @@ from spiketrim.tensors import DenseTensor, SpikeTensor
 def _block(d=8, scale=1.0, seed=3):
     cfg = ModelConfig(steps=2, in_channels=1, height=2, width=2, patch=1,
                       num_classes=2,
-                      stages=(StageConfig(channels=d, blocks=1, w_scales=scale),),
+                      channels=d, w_scales=((scale,),),
                       insert_block="1.0", seed=seed)
     return init_model(cfg).blocks[0][0]
 

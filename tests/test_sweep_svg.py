@@ -3,7 +3,7 @@ import pytest
 from dataclasses import replace
 
 from spiketrim import engine, selection
-from spiketrim.backbone import ModelConfig, StageConfig
+from spiketrim.backbone import ModelConfig
 from spiketrim.data import SyntheticSpec
 from spiketrim.efficiency import energy_mj
 from spiketrim.errors import ConfigError
